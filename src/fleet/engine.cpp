@@ -1,12 +1,12 @@
 #include "fleet/engine.hpp"
 
 #include <algorithm>
+#include <bitset>
 #include <chrono>
 #include <cmath>
 #include <numeric>
 #include <queue>
 
-#include "obs/flight.hpp"
 #include "obs/profile.hpp"
 #include "util/check.hpp"
 
@@ -14,73 +14,55 @@ namespace mobiweb::fleet {
 
 namespace {
 
-// Per-session live state. Kept small on purpose: ~200 bytes per session means
-// a 1M-session fleet fits in a couple hundred MB, and the per-frame work is
-// one Bernoulli draw plus bitmap arithmetic — no per-session byte copies
-// (cooked frames are shared read-only out of the DocumentCache).
 // Edge-tier per-session state; allocated only when FleetConfig::proxy is set
-// so non-proxied fleets pay one pointer, not ~150 bytes, per session. Mirrors
-// sim::simulate_proxied_transfer's serving-replica variables exactly.
+// so non-proxied fleets pay one pointer per session, not this.
 struct ProxyState {
-  Rng proxy_rng{0};                            // warm/age/handoff draws
+  sim::EdgeState edge;
   std::unique_ptr<channel::OutageModel> origin;  // nullptr = origin always up
   Rng origin_rng{0};
-  bool attached = false;      // initial proxy acquire ran (first event)
-  bool has_replica = false;
-  bool serving_stale = false;
-  std::uint64_t replica_gen = 0;
-  std::uint64_t held_gen = 0;
-  sim::ProxyStats stats;
 };
+static_assert(sizeof(ProxyState) <= 160, "ProxyState grew: it is per session");
 
+// Per-session live state. Kept small on purpose: 1M sessions must fit a
+// couple hundred MB (peak RSS is a gated benchmark metric), and the per-frame
+// work is one Bernoulli draw plus bitmap arithmetic — no per-session byte
+// copies (cooked frames are shared read-only out of the DocumentCache).
 struct Session {
-  Rng rng{0};
+  Rng rng{0};  // corruption draws
   // shared_ptr, not a raw pointer: with a bounded DocumentCache the entry can
   // be evicted mid-run, and the session must keep its document alive.
   std::shared_ptr<const CookedDocument> doc;
-  double clock = 0.0;        // absolute simulated time
   double start = 0.0;
-  double content = 0.0;
-  double stall_delay = 0.0;
-  double time_per_frame = 0.0;
-  long frames = 0;
-  // Receipt bitmap for the cooked set. DocumentCache::build enforces
-  // n = ceil(gamma*m) <= kMaxCookedPackets (= 256) at cook time, so every
-  // index this session can see fits these four words.
-  std::uint64_t seen[4] = {0, 0, 0, 0};
-  int intact = 0;
-  int rounds = 0;
-
-  // Weak-connectivity state; engaged only when FleetConfig::outage is set.
-  // link_clock mirrors sim::simulate_resilient_transfer's session clock
-  // exactly (same additions in the same order, starting at 0) so outage
-  // queries and deadline checks are bit-equal to the oracle's — the absolute
-  // `clock` above would pick up start-offset rounding and break parity.
+  // DocumentCache::build enforces n = ceil(gamma*m) <= kMaxCookedPackets at
+  // cook time, so the inline receipt set holds every index a session sees.
+  sim::SessionWalk<std::bitset<kMaxCookedPackets>> walk;
+  // Link policy; engaged only when FleetConfig::outage is set.
   std::unique_ptr<channel::OutageModel> outage;
   Rng outage_rng{0};
-  Rng jitter_rng{0};
-  double link_clock = 0.0;
-  double backoff = 0.0;
-  double backoff_s = 0.0;
-  long frames_lost = 0;
-  int attempts = 0;
-  int suspensions = 0;
-
   std::unique_ptr<ProxyState> px;  // engaged only when FleetConfig::proxy set
   // Breadcrumb span log; engaged only when FleetConfig::telemetry is set.
-  // Moved into a TraceCandidate at finish, so it is only ever alive for
-  // in-flight sessions.
+  // Moved into the shard's TraceRetention at finish, so it is only ever
+  // alive for in-flight sessions.
   std::unique_ptr<CrumbLog> crumbs;
+};
+static_assert(sizeof(Session) <= 264, "Session grew: it is per session");
 
-  [[nodiscard]] bool test_seen(int i) const {
-    return (seen[i >> 6] >> (i & 63)) & 1u;
+// The walk's environment for one fleet session: every draw comes from the
+// session's own streams, and the link and origin from its OutageModel clones.
+struct SessionEnv {
+  Session& s;
+  double alpha;
+
+  bool corrupted() { return s.rng.next_bernoulli(alpha); }
+  bool link_down(double t) {
+    return s.outage != nullptr && !s.outage->link_up(t, s.outage_rng);
   }
-  void mark_seen(int i) { seen[i >> 6] |= std::uint64_t{1} << (i & 63); }
-  void reset_cache() {
-    seen[0] = seen[1] = seen[2] = seen[3] = 0;
-    intact = 0;
-    content = 0.0;
+  static bool feedback_lost() { return false; }  // reliable back channel
+  bool origin_up(double t) {
+    ProxyState& px = *s.px;
+    return px.origin == nullptr || px.origin->link_up(t, px.origin_rng);
   }
+  sim::EdgeState* edge() { return s.px != nullptr ? &s.px->edge : nullptr; }
 };
 
 // Min-heap event: next round of session `index` fires at time `t`. Ties break
@@ -94,83 +76,85 @@ struct Event {
   }
 };
 
-// How a session left the event loop. Indexes the per-status histogram array.
-enum class Outcome : int { kCompleted = 0, kAborted = 1, kGaveUp = 2, kDegraded = 3 };
-inline constexpr int kOutcomes = 4;
-
-// A finished session still in the running for trace retention: its verdict,
-// its ranking key (result.time) and its breadcrumb ring. Only materialized
-// into a full SessionTrace after the global tail selection.
-struct TraceCandidate {
-  std::uint32_t session = 0;
-  double start = 0.0;
-  sim::TransferResult result;
-  std::unique_ptr<CrumbLog> crumbs;
-};
-
+// One shard's share of the run: the FleetResult sums over its sessions
+// (with telemetry, `sums.timeseries` is its time buckets), their transfer
+// times (tail_stats only) and its trace candidates.
 struct ShardTotals {
-  long completed = 0;
-  long gave_up = 0;
-  long aborted_irrelevant = 0;
-  long degraded = 0;
-  long frames = 0;
-  long frames_lost = 0;
-  long rounds = 0;
-  long suspensions = 0;
-  unsigned long long bytes = 0;
-  double content = 0.0;
-  double session_time_s = 0.0;
-  double backoff_s = 0.0;
-  double makespan_s = 0.0;
-  FleetProxyTotals proxy;
-  std::vector<double> times;  // per-session transfer times (tail_stats only)
-  // Telemetry (engaged only with FleetConfig::telemetry): this shard's time
-  // buckets plus its trace candidates — every degraded / gave-up session,
-  // and a bounded heap of the k slowest others (any global top-k member is
-  // necessarily within its own shard's top k).
-  obs::TimeSeries ts;
-  std::vector<TraceCandidate> failed;
-  std::vector<TraceCandidate> tail;
+  FleetResult sums;
+  std::vector<double> times;
+  TraceRetention retention;
 };
 
-// Pre-resolved metric series; shards record into them concurrently (the
-// registry's instruments are thread-safe, see obs/metrics.hpp).
-struct FleetMetrics {
-  obs::Counter* sessions = nullptr;
-  obs::Counter* completed = nullptr;
-  obs::Counter* gave_up = nullptr;
-  obs::Counter* aborted = nullptr;
-  obs::Counter* degraded = nullptr;
-  obs::Counter* frames = nullptr;
-  obs::Counter* frames_lost = nullptr;
-  obs::Counter* suspensions = nullptr;
-  obs::Histogram* session_time = nullptr;
-  obs::Histogram* session_time_by[kOutcomes] = {nullptr, nullptr, nullptr, nullptr};
-  // Edge-tier series (resolved only for proxied runs).
-  obs::Counter* px_replica_hits = nullptr;
-  obs::Counter* px_stale_serves = nullptr;
-  obs::Counter* px_failovers = nullptr;
-  obs::Counter* px_handoffs = nullptr;
-  obs::Counter* px_origin_fetches = nullptr;
-  obs::Counter* px_origin_suspensions = nullptr;
-  obs::Counter* px_reconciliations = nullptr;
-  obs::Counter* px_packets_refetched = nullptr;
-  obs::Counter* px_stale_frames = nullptr;
-  obs::Counter* px_ended_stale = nullptr;
-  obs::Counter* px_generation_bumps = nullptr;
-  obs::Counter* px_reconcile_dropped = nullptr;
+// A summed counter of FleetResult (or its edge-tier totals) and the metric
+// that mirrors it; the tables below drive the shard merge and the mirror.
+template <class Totals>
+struct CounterField {
+  const char* metric;
+  long Totals::*member;
 };
 
-// Terminal crumb for an outcome — the event the materialized trace replays
-// to recover the session verdict.
-obs::Event terminal_event(Outcome outcome) {
-  switch (outcome) {
-    case Outcome::kCompleted: return obs::Event::kDecodeComplete;
-    case Outcome::kAborted: return obs::Event::kAbortIrrelevant;
-    case Outcome::kGaveUp: return obs::Event::kGiveUp;
-    case Outcome::kDegraded: return obs::Event::kDegraded;
+constexpr CounterField<FleetResult> kFleetCounterFields[] = {
+    {"fleet.sessions_completed", &FleetResult::completed},
+    {"fleet.sessions_gave_up", &FleetResult::gave_up},
+    {"fleet.sessions_aborted_irrelevant", &FleetResult::aborted_irrelevant},
+    {"fleet.sessions_degraded", &FleetResult::degraded},
+    {"fleet.frames_sent", &FleetResult::frames_sent},
+    {"fleet.frames_lost_outage", &FleetResult::frames_lost},
+    {"fleet.suspensions", &FleetResult::suspensions},
+};
+
+// The edge-tier totals as one field list: drives the shard merge and the
+// proxy.* counters.
+constexpr CounterField<FleetProxyTotals> kProxyTotalFields[] = {
+    {"proxy.replica_hits", &FleetProxyTotals::replica_hits},
+    {"proxy.stale_serves", &FleetProxyTotals::stale_serves},
+    {"proxy.failovers", &FleetProxyTotals::failovers},
+    {"proxy.handoffs", &FleetProxyTotals::handoffs},
+    {"proxy.origin_fetches", &FleetProxyTotals::origin_fetches},
+    {"proxy.origin_suspensions", &FleetProxyTotals::origin_suspensions},
+    {"proxy.reconciliations", &FleetProxyTotals::reconciliations},
+    {"proxy.packets_refetched", &FleetProxyTotals::packets_refetched},
+    {"proxy.stale_frames", &FleetProxyTotals::stale_frames},
+    {"proxy.sessions_ended_stale", &FleetProxyTotals::sessions_ended_stale},
+    {"proxy.origin_generation_bumps",
+     &FleetProxyTotals::origin_generation_bumps},
+    {"proxy.reconcile_dropped_packets",
+     &FleetProxyTotals::reconcile_dropped_packets},
+};
+
+// One session's edge-tier stats as a contribution to the fleet totals.
+FleetProxyTotals session_totals(const sim::ProxyStats& p) {
+  FleetProxyTotals t;
+  t.replica_hits = p.replica_hits;
+  t.stale_serves = p.stale_serves;
+  t.failovers = p.failovers;
+  t.handoffs = p.handoffs;
+  t.origin_fetches = p.origin_fetches;
+  t.origin_suspensions = p.origin_suspensions;
+  t.reconciliations = p.reconciliations;
+  t.packets_refetched = p.packets_refetched;
+  t.stale_frames = p.stale_frames;
+  t.sessions_ended_stale = p.ended_stale ? 1 : 0;
+  t.origin_generation_bumps = p.origin_generation_bumps;
+  t.reconcile_dropped_packets = p.reconcile_dropped_packets;
+  return t;
+}
+
+// The fleet's own fields plus the retry and proxy-model configs the walk
+// will use.
+void validate(const FleetConfig& config) {
+  MOBIWEB_CHECK_MSG(!config.gammas.empty(), "FleetConfig: no gammas");
+  MOBIWEB_CHECK_MSG(config.alpha >= 0.0 && config.alpha < 1.0,
+                    "FleetConfig: alpha in [0,1)");
+  MOBIWEB_CHECK_MSG(config.max_rounds >= 1, "FleetConfig: max_rounds >= 1");
+  MOBIWEB_CHECK_MSG(config.bandwidth_bps > 0.0, "FleetConfig: bandwidth > 0");
+  MOBIWEB_CHECK_MSG(config.zipf_s >= 0.0, "FleetConfig: zipf_s >= 0");
+  MOBIWEB_CHECK_MSG(config.arrival_rate_hz >= 0.0,
+                    "FleetConfig: arrival_rate_hz >= 0");
+  if (config.outage != nullptr || config.proxy.has_value()) {
+    sim::validate(config.retry);
   }
-  return obs::Event::kSessionEnd;
+  if (config.proxy.has_value()) sim::validate(config.proxy->model);
 }
 
 std::uint64_t salted_session_seed(std::uint64_t fleet_seed, std::uint64_t salt,
@@ -219,43 +203,16 @@ std::uint32_t session_proxy_assignment(std::uint64_t fleet_seed,
       proxies);
 }
 
+FleetProxyTotals& FleetProxyTotals::operator+=(const FleetProxyTotals& other) {
+  for (const auto& f : kProxyTotalFields) {
+    this->*f.member += other.*f.member;
+  }
+  return *this;
+}
+
 FleetEngine::FleetEngine(FleetConfig config)
     : config_(std::move(config)), cache_(config_.corpus) {
-  MOBIWEB_CHECK_MSG(!config_.gammas.empty(), "FleetEngine: no gammas");
-  MOBIWEB_CHECK_MSG(config_.alpha >= 0.0 && config_.alpha < 1.0,
-                    "FleetEngine: alpha in [0,1)");
-  MOBIWEB_CHECK_MSG(config_.max_rounds >= 1, "FleetEngine: max_rounds >= 1");
-  MOBIWEB_CHECK_MSG(config_.bandwidth_bps > 0.0, "FleetEngine: bandwidth > 0");
-  MOBIWEB_CHECK_MSG(config_.zipf_s >= 0.0, "FleetEngine: zipf_s >= 0");
-  MOBIWEB_CHECK_MSG(config_.arrival_rate_hz >= 0.0,
-                    "FleetEngine: arrival_rate_hz >= 0");
-  if (config_.outage != nullptr || config_.proxy.has_value()) {
-    const sim::RetryConfig& rp = config_.retry;
-    MOBIWEB_CHECK_MSG(rp.retry_budget >= 1, "FleetEngine: retry_budget >= 1");
-    MOBIWEB_CHECK_MSG(rp.initial_timeout_s >= 0.0,
-                      "FleetEngine: initial_timeout_s >= 0");
-    MOBIWEB_CHECK_MSG(rp.backoff_multiplier >= 1.0,
-                      "FleetEngine: backoff_multiplier >= 1");
-    MOBIWEB_CHECK_MSG(rp.max_backoff_s >= rp.initial_timeout_s,
-                      "FleetEngine: max_backoff_s >= initial_timeout_s");
-    MOBIWEB_CHECK_MSG(rp.jitter >= 0.0, "FleetEngine: jitter >= 0");
-  }
-  if (config_.proxy.has_value()) {
-    const sim::ProxyModelConfig& pm = config_.proxy->model;
-    MOBIWEB_CHECK_MSG(pm.warm_hit >= 0.0 && pm.warm_hit <= 1.0,
-                      "FleetEngine: warm_hit in [0,1]");
-    MOBIWEB_CHECK_MSG(pm.replica_age_mean_s >= 0.0,
-                      "FleetEngine: replica_age_mean_s >= 0");
-    MOBIWEB_CHECK_MSG(pm.origin_fetch_delay_s >= 0.0,
-                      "FleetEngine: origin_fetch_delay_s >= 0");
-    MOBIWEB_CHECK_MSG(pm.handoff_rate >= 0.0 && pm.handoff_rate < 1.0,
-                      "FleetEngine: handoff_rate in [0,1)");
-    MOBIWEB_CHECK_MSG(pm.handoff_delay_s >= 0.0,
-                      "FleetEngine: handoff_delay_s >= 0");
-    MOBIWEB_CHECK_MSG(pm.update_interval_s >= 0.0,
-                      "FleetEngine: update_interval_s >= 0");
-    MOBIWEB_CHECK_MSG(pm.proxies >= 1, "FleetEngine: proxies >= 1");
-  }
+  validate(config_);
 }
 
 FleetResult FleetEngine::run(ThreadPool* pool) {
@@ -340,63 +297,46 @@ FleetResult FleetEngine::run(ThreadPool* pool) {
     cache_.prefill(keys, pool);
   }
 
-  FleetMetrics fm;
+  // Session-time histograms, overall and per verdict (in WalkEnd order);
+  // shards observe into them concurrently (the registry's instruments are
+  // thread-safe, see obs/metrics.hpp).
+  obs::Histogram* session_time = nullptr;
+  obs::Histogram* session_time_by[sim::kWalkVerdicts] = {};
   if (config_.metrics != nullptr) {
     obs::MetricsRegistry& reg = *config_.metrics;
-    fm.sessions = &reg.counter("fleet.sessions");
-    fm.completed = &reg.counter("fleet.sessions_completed");
-    fm.gave_up = &reg.counter("fleet.sessions_gave_up");
-    fm.aborted = &reg.counter("fleet.sessions_aborted_irrelevant");
-    fm.degraded = &reg.counter("fleet.sessions_degraded");
-    fm.frames = &reg.counter("fleet.frames_sent");
-    fm.frames_lost = &reg.counter("fleet.frames_lost_outage");
-    fm.suspensions = &reg.counter("fleet.suspensions");
-    fm.session_time =
+    session_time =
         &reg.histogram("fleet.session_time_s", obs::session_time_buckets());
-    fm.session_time_by[static_cast<int>(Outcome::kCompleted)] = &reg.histogram(
-        "fleet.session_time_s{status=completed}", obs::session_time_buckets());
-    fm.session_time_by[static_cast<int>(Outcome::kAborted)] =
-        &reg.histogram("fleet.session_time_s{status=aborted_irrelevant}",
-                       obs::session_time_buckets());
-    fm.session_time_by[static_cast<int>(Outcome::kGaveUp)] = &reg.histogram(
-        "fleet.session_time_s{status=gave_up}", obs::session_time_buckets());
-    fm.session_time_by[static_cast<int>(Outcome::kDegraded)] = &reg.histogram(
-        "fleet.session_time_s{status=degraded}", obs::session_time_buckets());
-    if (config_.proxy.has_value()) {
-      fm.px_replica_hits = &reg.counter("proxy.replica_hits");
-      fm.px_stale_serves = &reg.counter("proxy.stale_serves");
-      fm.px_failovers = &reg.counter("proxy.failovers");
-      fm.px_handoffs = &reg.counter("proxy.handoffs");
-      fm.px_origin_fetches = &reg.counter("proxy.origin_fetches");
-      fm.px_origin_suspensions = &reg.counter("proxy.origin_suspensions");
-      fm.px_reconciliations = &reg.counter("proxy.reconciliations");
-      fm.px_packets_refetched = &reg.counter("proxy.packets_refetched");
-      fm.px_stale_frames = &reg.counter("proxy.stale_frames");
-      fm.px_ended_stale = &reg.counter("proxy.sessions_ended_stale");
-      fm.px_generation_bumps = &reg.counter("proxy.origin_generation_bumps");
-      fm.px_reconcile_dropped = &reg.counter("proxy.reconcile_dropped_packets");
+    const char* const status[sim::kWalkVerdicts] = {
+        "completed", "aborted_irrelevant", "gave_up", "degraded"};
+    for (int v = 0; v < sim::kWalkVerdicts; ++v) {
+      session_time_by[v] = &reg.histogram(
+          std::string("fleet.session_time_s{status=") + status[v] + "}",
+          obs::session_time_buckets());
     }
   }
 
   std::vector<ShardTotals> totals(shards);
   if (config_.record_outcomes) result.outcomes.resize(sessions);
   const std::size_t per_shard = (sessions + shards - 1) / shards;
-  const bool relevance_check = config_.relevance_threshold >= 0.0;
-  const sim::RetryConfig& rp = config_.retry;
   const bool proxied = config_.proxy.has_value();
-  const sim::ProxyModelConfig pm =
-      proxied ? config_.proxy->model : sim::ProxyModelConfig{};
+  // The fleet-wide part of every session's walk plan; each event fills in
+  // its session's document.
+  sim::WalkPlan policy;
+  policy.request_delay = config_.request_delay;
+  policy.relevance_threshold = config_.relevance_threshold;
+  policy.max_rounds = config_.max_rounds;
+  policy.caching = config_.caching;
+  if (config_.outage != nullptr || proxied) {
+    // Proxied sessions back off on origin fades even with the link always
+    // up, so the retry policy engages for both.
+    policy.retry = &config_.retry;
+  }
+  if (proxied) policy.proxy = &config_.proxy->model;
   const bool telem = config_.telemetry.has_value();
   const FleetTelemetryConfig tc =
       config_.telemetry.value_or(FleetTelemetryConfig{});
-  // Global tail-retention target k. Bounded overhead: every shard retains at
-  // most k non-failed candidates, and the final cut keeps exactly k overall.
-  std::size_t tail_target = 0;
-  if (telem && tc.trace_top_fraction > 0.0) {
-    tail_target = static_cast<std::size_t>(
-        std::ceil(tc.trace_top_fraction * static_cast<double>(sessions)));
-    tail_target = std::min(tail_target, sessions);
-  }
+  const std::size_t tail_target =
+      telem ? trace_tail_target(tc.trace_top_fraction, sessions) : 0;
   result.trace_tail_target = tail_target;
 
   pool->run(shards, [&](std::size_t shard) {
@@ -409,31 +349,10 @@ FleetResult FleetEngine::run(ThreadPool* pool) {
     // flag on the hot path (one null check per frame when off).
     obs::TimeSeries* ts = nullptr;
     if (telem) {
-      tot.ts = obs::TimeSeries(tc.bucket_width_s, tc.max_buckets);
-      ts = &tot.ts;
+      tot.sums.timeseries = obs::TimeSeries(tc.bucket_width_s, tc.max_buckets);
+      ts = &tot.sums.timeseries;
+      tot.retention = TraceRetention(tail_target);
     }
-    using obs::Channel;
-    // "a ranks before b": slower first, index breaks ties. The heap keeps
-    // the worst retained candidate at the front so it can be displaced.
-    const auto cand_before = [](const TraceCandidate& a,
-                                const TraceCandidate& b) {
-      return ranks_before(a.result.time, a.session, b.result.time, b.session);
-    };
-    const auto offer_tail = [&](TraceCandidate cand) {
-      if (tail_target == 0) return;
-      std::vector<TraceCandidate>& heap = tot.tail;
-      if (heap.size() < tail_target) {
-        heap.push_back(std::move(cand));
-        std::push_heap(heap.begin(), heap.end(), cand_before);
-        return;
-      }
-      if (ranks_before(cand.result.time, cand.session,
-                       heap.front().result.time, heap.front().session)) {
-        std::pop_heap(heap.begin(), heap.end(), cand_before);
-        heap.back() = std::move(cand);
-        std::push_heap(heap.begin(), heap.end(), cand_before);
-      }
-    };
 
     // Materialize this shard's slice of sessions and seed its event heap.
     std::vector<Session> states(hi - lo);
@@ -442,23 +361,15 @@ FleetResult FleetEngine::run(ThreadPool* pool) {
       Session& s = states[i - lo];
       s.rng.reseed(session_seed(config_.seed, i));
       s.doc = cache_.get(key_of(i));  // pins the document across evictions
-      s.time_per_frame =
-          static_cast<double>(s.doc->frame_size) * 8.0 / config_.bandwidth_bps;
       s.start = start_of(i);
-      s.clock = s.start;
+      s.walk.begin(s.start, policy, session_jitter_seed(config_.seed, i));
       if (config_.outage != nullptr) {
         s.outage = config_.outage->session_clone();
         s.outage_rng.reseed(session_outage_seed(config_.seed, i));
       }
-      if (config_.outage != nullptr || proxied) {
-        // Proxied sessions back off on origin fades even with the link
-        // always up, so the jitter stream and backoff state engage for both.
-        s.jitter_rng.reseed(session_jitter_seed(config_.seed, i));
-        s.backoff = rp.initial_timeout_s;
-      }
       if (proxied) {
         s.px = std::make_unique<ProxyState>();
-        s.px->proxy_rng.reseed(session_proxy_seed(config_.seed, i));
+        s.px->edge.proxy_rng.reseed(session_proxy_seed(config_.seed, i));
         if (config_.proxy->origin_outage != nullptr) {
           s.px->origin = config_.proxy->origin_outage->session_clone();
           s.px->origin_rng.reseed(session_origin_seed(config_.seed, i));
@@ -466,504 +377,118 @@ FleetResult FleetEngine::run(ThreadPool* pool) {
       }
       if (ts != nullptr) {
         s.crumbs = std::make_unique<CrumbLog>(tc.crumb_capacity);
-        ts->add(Channel::kSessionsStarted, s.start);
+        ts->add(obs::Channel::kSessionsStarted, s.start);
       }
       heap.push(Event{s.start, static_cast<std::uint32_t>(i)});
     }
 
-    const auto finish = [&](std::size_t index, Session& s, double received,
-                            Outcome outcome) {
-      const bool completed = outcome == Outcome::kCompleted;
-      const bool aborted = outcome == Outcome::kAborted;
-      const bool gave_up = outcome == Outcome::kGaveUp;
-      const bool degraded = outcome == Outcome::kDegraded;
-      sim::TransferResult r;
-      r.packets = s.frames;
-      r.rounds = s.rounds;
-      r.completed = completed;
-      r.aborted_irrelevant = aborted;
-      r.gave_up = gave_up;
-      r.degraded = degraded;
-      r.content = received;
-      r.frames_lost = s.frames_lost;
-      r.suspensions = s.suspensions;
-      r.request_attempts = s.attempts;
-      r.backoff_s = s.backoff_s;
-      r.time = static_cast<double>(s.frames) * s.time_per_frame + s.stall_delay;
-      tot.completed += completed ? 1 : 0;
-      tot.gave_up += gave_up ? 1 : 0;
-      tot.aborted_irrelevant += aborted ? 1 : 0;
-      tot.degraded += degraded ? 1 : 0;
-      tot.frames += s.frames;
-      tot.frames_lost += s.frames_lost;
-      tot.rounds += s.rounds;
-      tot.suspensions += s.suspensions;
-      tot.bytes += static_cast<unsigned long long>(s.frames) * s.doc->frame_size;
-      tot.content += received;
-      tot.session_time_s += r.time;
+    // Books a finished session: shard totals, trace candidates, metrics and
+    // the optional per-session outcome.
+    const auto finish = [&](std::uint32_t index, Session& s,
+                            const sim::WalkPlan& plan) {
+      const sim::TransferResult r = s.walk.result(plan);
+      FleetResult& sum = tot.sums;
+      sum.completed += r.completed ? 1 : 0;
+      sum.gave_up += r.gave_up ? 1 : 0;
+      sum.aborted_irrelevant += r.aborted_irrelevant ? 1 : 0;
+      sum.degraded += r.degraded ? 1 : 0;
+      sum.frames_sent += r.packets;
+      sum.frames_lost += r.frames_lost;
+      sum.rounds += r.rounds;
+      sum.suspensions += r.suspensions;
+      sum.bytes_sent +=
+          static_cast<unsigned long long>(r.packets) * s.doc->frame_size;
+      sum.content += r.content;
+      sum.session_time_s += r.time;
       if (config_.tail_stats) tot.times.push_back(r.time);
-      tot.backoff_s += s.backoff_s;
-      tot.makespan_s = std::max(tot.makespan_s, s.start + r.time);
+      sum.backoff_s += r.backoff_s;
+      sum.makespan_s = std::max(sum.makespan_s, s.start + r.time);
       sim::ProxyStats pstats;
       if (s.px != nullptr) {
-        s.px->stats.ended_stale = s.px->serving_stale;
-        pstats = s.px->stats;
-        tot.proxy.replica_hits += pstats.replica_hits;
-        tot.proxy.stale_serves += pstats.stale_serves;
-        tot.proxy.failovers += pstats.failovers;
-        tot.proxy.handoffs += pstats.handoffs;
-        tot.proxy.origin_fetches += pstats.origin_fetches;
-        tot.proxy.origin_suspensions += pstats.origin_suspensions;
-        tot.proxy.reconciliations += pstats.reconciliations;
-        tot.proxy.packets_refetched += pstats.packets_refetched;
-        tot.proxy.stale_frames += pstats.stale_frames;
-        tot.proxy.sessions_ended_stale += pstats.ended_stale ? 1 : 0;
-        tot.proxy.origin_generation_bumps += pstats.origin_generation_bumps;
-        tot.proxy.reconcile_dropped_packets += pstats.reconcile_dropped_packets;
-        if (fm.px_replica_hits != nullptr) {
-          if (pstats.replica_hits > 0) fm.px_replica_hits->inc(pstats.replica_hits);
-          if (pstats.stale_serves > 0) fm.px_stale_serves->inc(pstats.stale_serves);
-          if (pstats.failovers > 0) fm.px_failovers->inc(pstats.failovers);
-          if (pstats.handoffs > 0) fm.px_handoffs->inc(pstats.handoffs);
-          if (pstats.origin_fetches > 0) {
-            fm.px_origin_fetches->inc(pstats.origin_fetches);
-          }
-          if (pstats.origin_suspensions > 0) {
-            fm.px_origin_suspensions->inc(pstats.origin_suspensions);
-          }
-          if (pstats.reconciliations > 0) {
-            fm.px_reconciliations->inc(pstats.reconciliations);
-          }
-          if (pstats.packets_refetched > 0) {
-            fm.px_packets_refetched->inc(pstats.packets_refetched);
-          }
-          if (pstats.stale_frames > 0) fm.px_stale_frames->inc(pstats.stale_frames);
-          if (pstats.ended_stale) fm.px_ended_stale->inc();
-          if (pstats.origin_generation_bumps > 0) {
-            fm.px_generation_bumps->inc(pstats.origin_generation_bumps);
-          }
-          if (pstats.reconcile_dropped_packets > 0) {
-            fm.px_reconcile_dropped->inc(pstats.reconcile_dropped_packets);
-          }
-        }
+        pstats = s.px->edge.stats;
+        sum.proxy += session_totals(pstats);
       }
       if (ts != nullptr) {
-        ts->add(Channel::kSessionsEnded, s.clock);
-        if (gave_up || degraded) ts->add(Channel::kSessionsFailed, s.clock);
-        s.crumbs->push(terminal_event(outcome), s.clock, 0, received);
-        TraceCandidate cand{static_cast<std::uint32_t>(index), s.start, r,
-                            std::move(s.crumbs)};
-        if (gave_up || degraded) {
-          tot.failed.push_back(std::move(cand));
-        } else {
-          offer_tail(std::move(cand));
-        }
+        tot.retention.offer(index, s.start, r, std::move(s.crumbs));
       }
-      if (fm.sessions != nullptr) {
-        fm.sessions->inc();
-        if (completed) fm.completed->inc();
-        if (gave_up) fm.gave_up->inc();
-        if (aborted) fm.aborted->inc();
-        if (degraded) fm.degraded->inc();
-        fm.frames->inc(s.frames);
-        if (s.frames_lost > 0) fm.frames_lost->inc(s.frames_lost);
-        if (s.suspensions > 0) fm.suspensions->inc(s.suspensions);
-        fm.session_time->observe(r.time);
-        fm.session_time_by[static_cast<int>(outcome)]->observe(r.time);
+      if (session_time != nullptr) {
+        session_time->observe(r.time);
+        session_time_by[static_cast<int>(s.walk.end)]->observe(r.time);
       }
       if (config_.record_outcomes) {
         result.outcomes[index] = SessionOutcome{
-            static_cast<std::uint32_t>(index), key_of(index), s.start,
-            s.px != nullptr
-                ? session_proxy_assignment(config_.seed, index, pm.proxies)
-                : 0,
+            index, key_of(index), s.start,
+            s.px != nullptr ? session_proxy_assignment(
+                                  config_.seed, index, policy.proxy->proxies)
+                            : 0,
             r, pstats};
       }
     };
 
-    // Shared backoff helpers — the resilient and proxied walks consume the
-    // jitter stream and retry budget identically (see sim/transfer.cpp,
-    // sim/proxied.cpp).
-    const auto wait_one_backoff = [&](Session& s) {
-      // The jitter draw happens unconditionally (even at jitter = 0) so the
-      // stream stays aligned with the oracle's, wait-for-wait.
-      const double wait =
-          s.backoff * (1.0 + rp.jitter * s.jitter_rng.next_double());
-      s.clock += wait;
-      s.link_clock += wait;
-      s.stall_delay += wait;
-      s.backoff_s += wait;
-      s.backoff = std::min(s.backoff * rp.backoff_multiplier, rp.max_backoff_s);
-    };
-    const auto budget_exhausted = [&](const Session& s) {
-      return s.attempts >= rp.retry_budget ||
-             (rp.deadline_s >= 0.0 && s.link_clock >= rp.deadline_s);
-    };
-
-    // Edge-tier walk, mirroring sim::simulate_proxied_transfer lambda-for-
-    // lambda (see that file for the semantics; the draw order here must stay
-    // bit-identical to it).
-    const auto origin_up_now = [&](Session& s) {
-      ProxyState& px = *s.px;
-      return px.origin == nullptr ||
-             px.origin->link_up(s.link_clock, px.origin_rng);
-    };
-    const auto charge = [&](Session& s, double delay) {
-      s.clock += delay;
-      s.link_clock += delay;
-      s.stall_delay += delay;
-    };
-    const auto validate_serving = [&](std::size_t index, Session& s) -> bool {
-      ProxyState& px = *s.px;
-      // Exactly one probe at the validate point (origin_up_now may consume
-      // RNG draws, so the result is stored — never re-queried — to keep the
-      // stream aligned with the oracle draw-for-draw).
-      const bool up = origin_up_now(s);
-      if (ts != nullptr) {
-        ts->add(Channel::kOriginProbes, s.clock);
-        if (up) ts->add(Channel::kOriginUp, s.clock);
-      }
-      if (up) {
-        if (px.has_replica &&
-            px.replica_gen ==
-                sim::generation_at(s.link_clock, pm.update_interval_s)) {
-          ++px.stats.replica_hits;
-          if (ts != nullptr) ts->add(Channel::kReplicaHits, s.clock);
-        } else {
-          // A live replica landing here means its generation fell behind
-          // the origin's — the refresh is a bump, not a cold fill.
-          if (px.has_replica) ++px.stats.origin_generation_bumps;
-          ++px.stats.origin_fetches;
-          if (ts != nullptr) ts->add(Channel::kOriginFetches, s.clock);
-          charge(s, pm.origin_fetch_delay_s);
-          px.has_replica = true;
-          px.replica_gen =
-              sim::generation_at(s.link_clock, pm.update_interval_s);
-        }
-        px.serving_stale = false;
-        return true;
-      }
-      ++px.stats.failovers;
-      if (px.has_replica) {
-        ++px.stats.stale_serves;
-        px.serving_stale = true;
-        if (ts != nullptr) {
-          ts->add(Channel::kStaleServes, s.clock);
-          s.crumbs->push(obs::Event::kStaleFailover, s.clock);
-        }
-        return true;
-      }
-      // Cold proxy AND origin down: ride out the origin fade under backoff.
-      const double cold_start = s.clock;
-      if (ts != nullptr) {
-        s.crumbs->push(obs::Event::kOriginOutageBegin, s.clock);
-      }
-      while (!origin_up_now(s)) {
-        if (budget_exhausted(s)) {
-          finish(index, s, s.content, Outcome::kDegraded);
-          return false;
-        }
-        ++s.attempts;
-        wait_one_backoff(s);
-      }
-      ++px.stats.origin_suspensions;
-      if (ts != nullptr) {
-        s.crumbs->push(obs::Event::kOriginOutageEnd, s.clock, 0,
-                       s.clock - cold_start);
-      }
-      s.backoff = rp.initial_timeout_s;  // origin is back: start fresh
-      px.serving_stale = false;
-      ++px.stats.origin_fetches;
-      if (ts != nullptr) ts->add(Channel::kOriginFetches, s.clock);
-      charge(s, pm.origin_fetch_delay_s);
-      px.has_replica = true;
-      px.replica_gen = sim::generation_at(s.link_clock, pm.update_interval_s);
-      return true;
-    };
-    const auto acquire_proxy = [&](std::size_t index, Session& s) -> bool {
-      ProxyState& px = *s.px;
-      // Exactly two proxy-stream draws per attach, as in the oracle.
-      const bool warm = px.proxy_rng.next_bernoulli(pm.warm_hit);
-      const double age = -pm.replica_age_mean_s *
-                         std::log(1.0 - px.proxy_rng.next_double());
-      px.has_replica = warm;
-      px.serving_stale = false;
-      px.replica_gen =
-          warm ? sim::generation_at(std::max(0.0, s.link_clock - age),
-                                    pm.update_interval_s)
-               : 0;
-      return validate_serving(index, s);
-    };
-    const auto reconcile = [&](Session& s) {
-      ProxyState& px = *s.px;
-      ++px.stats.reconciliations;
-      if (px.held_gen != px.replica_gen) {
-        if (s.intact > 0) {
-          px.stats.packets_refetched += s.intact;
-          px.stats.reconcile_dropped_packets += s.intact;
-          if (ts != nullptr) {
-            ts->add(Channel::kReconcileDrops, s.clock, s.intact);
-            s.crumbs->push(obs::Event::kReconcileDrop, s.clock, s.intact);
-          }
-          s.reset_cache();
-        }
-        px.held_gen = px.replica_gen;
-      }
-    };
-
-    // Drain the heap: one event = one transmission round. The state machine
-    // below is sim::simulate_transfer's round body verbatim (same draw order,
-    // same check precedence) — and, when an outage model is configured,
-    // sim::simulate_resilient_transfer's suspend/backoff walk verbatim, and,
-    // when the proxy tier is configured, sim::simulate_proxied_transfer's
-    // attach/validate/handoff/reconcile walk verbatim — which is what makes
-    // the per-session parity tests exact.
+    // Drain the heap: one event = one step of the session's walk, i.e. one
+    // transmission round.
     while (!heap.empty()) {
       const Event ev = heap.top();
       heap.pop();
       Session& s = states[ev.index - lo];
       const CookedDocument& doc = *s.doc;
-      const int m = static_cast<int>(doc.transmitter.m());
-      const int n = static_cast<int>(doc.transmitter.n());
-
-      if (s.px != nullptr && !s.px->attached) {
-        // The initial request attaches to the assigned proxy before round 1
-        // (the oracle's acquire before its round loop). Degrading here — the
-        // origin down with nothing cached, budget exhausted — ends the
-        // session with zero rounds, exactly as the oracle does.
-        s.px->attached = true;
-        if (!acquire_proxy(ev.index, s)) continue;
-        s.px->held_gen = s.px->replica_gen;
+      sim::WalkPlan plan = policy;
+      plan.clear_content = doc.clear_content.data();
+      plan.total_content = doc.total_content;
+      plan.m = static_cast<int>(doc.transmitter.m());
+      plan.n = static_cast<int>(doc.transmitter.n());
+      plan.time_per_frame =
+          static_cast<double>(doc.frame_size) * 8.0 / config_.bandwidth_bps;
+      SessionEnv env{s, config_.alpha};
+      TelemetryObserver observer{{}, ts, s.crumbs.get()};
+      s.walk.step_round(plan, env, observer);
+      if (s.walk.done()) {
+        finish(ev.index, s, plan);
+      } else {
+        heap.push(Event{s.walk.clock, ev.index});
       }
-
-      ++s.rounds;
-      if (ts != nullptr) {
-        s.crumbs->push(obs::Event::kRoundStart, s.clock, s.rounds);
-      }
-      bool terminal = false;
-      for (int i = 0; i < n && !terminal; ++i) {
-        ++s.frames;
-        s.clock += s.time_per_frame;
-        if (ts != nullptr) ts->add(Channel::kFramesSent, s.clock);
-        if (s.outage != nullptr) {
-          s.link_clock += s.time_per_frame;
-          if (!s.outage->link_up(s.link_clock, s.outage_rng)) {
-            // In a fade: airtime burned, nothing delivered, and the
-            // corruption model never sees the frame.
-            ++s.frames_lost;
-            if (ts != nullptr) ts->add(Channel::kFramesLost, s.clock);
-            continue;
-          }
-        } else if (s.px != nullptr) {
-          // Proxied sessions keep the session-relative clock running even
-          // with the link always up: origin outage queries and generation
-          // stamps are driven off it.
-          s.link_clock += s.time_per_frame;
-        }
-        const bool corrupted = s.rng.next_bernoulli(config_.alpha);
-        if (!corrupted && !s.test_seen(i)) {
-          s.mark_seen(i);
-          ++s.intact;
-          if (s.px != nullptr && s.px->serving_stale) ++s.px->stats.stale_frames;
-          if (i < m) s.content += doc.clear_content[static_cast<std::size_t>(i)];
-        }
-        // Reconstruction (condition 1) outranks the relevance abort
-        // (condition 3) when one frame triggers both — as in TransferSession.
-        if (s.intact >= m) {
-          finish(ev.index, s, doc.total_content, Outcome::kCompleted);
-          terminal = true;
-        } else if (relevance_check && s.content >= config_.relevance_threshold) {
-          finish(ev.index, s, s.content, Outcome::kAborted);
-          terminal = true;
-        }
-      }
-      if (terminal) continue;
-      if (ts != nullptr) {
-        // Stalled (non-terminal) round boundary: the suspension_rate SLO's
-        // denominator, and the crumb the materialized trace replays into a
-        // round span.
-        ts->add(Channel::kRounds, s.clock);
-        s.crumbs->push(obs::Event::kRoundEnd, s.clock, s.rounds, s.content);
-      }
-      // Stalled round: give up at the cap — BEFORE the suspend check, as
-      // ResilientSession breaks before touching the back channel. `>=` so a
-      // counter that ever steps past the cap still terminates.
-      if (s.rounds >= config_.max_rounds) {
-        finish(ev.index, s, s.content, Outcome::kGaveUp);
-        continue;
-      }
-      if (s.outage != nullptr) {
-        // Suspend-on-outage: when the round ended inside a fade,
-        // re-requesting is futile — back off exponentially with jitter
-        // (consuming retry budget, so a link that never returns still
-        // terminates) until the link is observed up.
-        bool suspended = false;
-        bool dead = false;
-        double susp_start = s.clock;
-        while (!s.outage->link_up(s.link_clock, s.outage_rng)) {
-          if (!suspended && ts != nullptr) {
-            susp_start = s.clock;
-            s.crumbs->push(obs::Event::kOutageBegin, s.clock);
-          }
-          if (budget_exhausted(s)) {
-            finish(ev.index, s, s.content, Outcome::kDegraded);
-            dead = true;
-            break;
-          }
-          ++s.attempts;
-          suspended = true;
-          wait_one_backoff(s);
-        }
-        if (dead) continue;
-        if (suspended) {
-          ++s.suspensions;
-          if (ts != nullptr) {
-            ts->add(Channel::kSuspensions, s.clock);
-            s.crumbs->push(obs::Event::kOutageEnd, s.clock, 0,
-                           s.clock - susp_start);
-          }
-          s.backoff = rp.initial_timeout_s;  // link is back: start fresh
-          if (s.px != nullptr) {
-            // Reconnect: revalidate the serving replica (it may have been
-            // refreshed or gone stale while the client was dark), then
-            // reconcile the partial cache against its generation.
-            if (!validate_serving(ev.index, s)) continue;
-            reconcile(s);
-          }
-        }
-      }
-      if (s.px != nullptr) {
-        // Cell handoff: one proxy-stream Bernoulli per stalled round, drawn
-        // unconditionally (even at handoff_rate = 0) to keep the stream
-        // aligned with the oracle's.
-        if (s.px->proxy_rng.next_bernoulli(pm.handoff_rate)) {
-          ++s.px->stats.handoffs;
-          charge(s, pm.handoff_delay_s);
-          if (ts != nullptr) {
-            ts->add(Channel::kHandoffs, s.clock);
-            s.crumbs->push(obs::Event::kHandoff, s.clock, 0,
-                           pm.handoff_delay_s);
-          }
-          if (!acquire_proxy(ev.index, s)) continue;
-          reconcile(s);
-        }
-      }
-      if (s.outage != nullptr || s.px != nullptr) {
-        // The retransmission request consumes budget even when it succeeds
-        // (the fleet back channel is reliable), exactly as in
-        // ResilientSession / the resilient and proxied oracles.
-        if (budget_exhausted(s)) {
-          finish(ev.index, s, s.content, Outcome::kDegraded);
-          continue;
-        }
-        ++s.attempts;
-        s.backoff = rp.initial_timeout_s;
-        s.link_clock += config_.request_delay;
-      }
-      s.clock += config_.request_delay;
-      s.stall_delay += config_.request_delay;
-      if (!config_.caching) s.reset_cache();
-      heap.push(Event{s.clock, ev.index});
     }
   });
 
   // Merge in shard order: deterministic for a fixed shard count; integer
   // aggregates are order-independent, so they match across shard counts too.
   for (const ShardTotals& tot : totals) {
-    result.completed += tot.completed;
-    result.gave_up += tot.gave_up;
-    result.aborted_irrelevant += tot.aborted_irrelevant;
-    result.degraded += tot.degraded;
-    result.frames_sent += tot.frames;
-    result.frames_lost += tot.frames_lost;
-    result.rounds += tot.rounds;
-    result.suspensions += tot.suspensions;
-    result.bytes_sent += tot.bytes;
-    result.content += tot.content;
-    result.session_time_s += tot.session_time_s;
-    result.backoff_s += tot.backoff_s;
-    result.makespan_s = std::max(result.makespan_s, tot.makespan_s);
-    result.proxy.replica_hits += tot.proxy.replica_hits;
-    result.proxy.stale_serves += tot.proxy.stale_serves;
-    result.proxy.failovers += tot.proxy.failovers;
-    result.proxy.handoffs += tot.proxy.handoffs;
-    result.proxy.origin_fetches += tot.proxy.origin_fetches;
-    result.proxy.origin_suspensions += tot.proxy.origin_suspensions;
-    result.proxy.reconciliations += tot.proxy.reconciliations;
-    result.proxy.packets_refetched += tot.proxy.packets_refetched;
-    result.proxy.stale_frames += tot.proxy.stale_frames;
-    result.proxy.sessions_ended_stale += tot.proxy.sessions_ended_stale;
-    result.proxy.origin_generation_bumps += tot.proxy.origin_generation_bumps;
-    result.proxy.reconcile_dropped_packets +=
-        tot.proxy.reconcile_dropped_packets;
+    const FleetResult& sum = tot.sums;
+    for (const auto& f : kFleetCounterFields) result.*f.member += sum.*f.member;
+    result.rounds += sum.rounds;
+    result.bytes_sent += sum.bytes_sent;
+    result.content += sum.content;
+    result.session_time_s += sum.session_time_s;
+    result.backoff_s += sum.backoff_s;
+    result.makespan_s = std::max(result.makespan_s, sum.makespan_s);
+    result.proxy += sum.proxy;
+  }
+  if (config_.metrics != nullptr) {
+    obs::MetricsRegistry& reg = *config_.metrics;
+    reg.counter("fleet.sessions").inc(static_cast<long>(sessions));
+    for (const auto& f : kFleetCounterFields) {
+      reg.counter(f.metric).inc(result.*f.member);
+    }
+    if (proxied) {
+      for (const auto& f : kProxyTotalFields) {
+        reg.counter(f.metric).inc(result.proxy.*f.member);
+      }
+    }
   }
   if (telem) {
     // Bucket merge: cells are integers accumulated with +=, so the merged
     // series is independent of shard count and merge order.
     result.timeseries = obs::TimeSeries(tc.bucket_width_s, tc.max_buckets);
-    for (ShardTotals& tot : totals) result.timeseries.merge(tot.ts);
-
-    // Global tail selection. Any global top-k non-failed session is within
-    // its own shard's top k (its shard holds at most k-1 sessions ranking
-    // before it), so gathering the per-shard heaps loses nothing. Failed
-    // sessions were kept unconditionally. Sort by the total rank order and
-    // cut: the retained set is exactly (global top-k) ∪ (failed), identical
-    // whatever the shard count.
-    std::vector<TraceCandidate> candidates;
-    std::vector<char> is_failed;
     for (ShardTotals& tot : totals) {
-      for (TraceCandidate& c : tot.failed) {
-        candidates.push_back(std::move(c));
-        is_failed.push_back(1);
-      }
-      for (TraceCandidate& c : tot.tail) {
-        candidates.push_back(std::move(c));
-        is_failed.push_back(0);
-      }
-      tot.failed.clear();
-      tot.tail.clear();
+      result.timeseries.merge(tot.sums.timeseries);
     }
-    std::vector<std::size_t> order(candidates.size());
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      return ranks_before(candidates[a].result.time, candidates[a].session,
-                          candidates[b].result.time, candidates[b].session);
-    });
-    std::size_t tail_kept = 0;
-    for (const std::size_t idx : order) {
-      const bool failed = is_failed[idx] != 0;
-      const bool in_tail = tail_kept < tail_target;
-      if (!failed && !in_tail) continue;
-      if (in_tail) ++tail_kept;  // failed sessions occupy tail slots too
-      const TraceCandidate& c = candidates[idx];
-      std::string label = "session " + std::to_string(c.session);
-      if (c.result.degraded) label += " [degraded]";
-      else if (c.result.gave_up) label += " [gave_up]";
-      else if (c.result.aborted_irrelevant) label += " [aborted]";
-      result.traces.push_back(RetainedTrace{
-          c.session, c.result.time, failed,
-          materialize_trace(label, c.start, c.result, *c.crumbs)});
+
+    std::vector<TraceRetention> retentions;
+    for (ShardTotals& tot : totals) {
+      retentions.push_back(std::move(tot.retention));
     }
-    // Stable presentation order: by session index, whatever rank order the
-    // cut visited them in.
-    std::sort(result.traces.begin(), result.traces.end(),
-              [](const RetainedTrace& a, const RetainedTrace& b) {
-                return a.session < b.session;
-              });
-    if (tc.flight != nullptr) {
-      // Replay each failed retained trace through the flight recorder —
-      // single-threaded, post-merge, in session order (deterministic dumps).
-      for (const RetainedTrace& rt : result.traces) {
-        if (!rt.failed) continue;
-        tc.flight->clear();
-        bool gave_up = false;
-        for (const obs::TraceEvent& e : rt.trace.events()) {
-          tc.flight->record(e);
-          if (e.type == obs::Event::kGiveUp) gave_up = true;
-        }
-        tc.flight->dump(gave_up ? "fleet.gave_up" : "fleet.degraded");
-      }
-    }
+    result.traces =
+        retained_traces(std::move(retentions), tail_target, tc.flight);
   }
   if (config_.tail_stats) {
     // summarize_tails sorts, so the outcome depends only on the multiset of

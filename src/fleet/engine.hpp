@@ -9,24 +9,19 @@
 // runs on one ThreadPool worker. Cooked packets come from a shared read-only
 // fleet::DocumentCache (encode once per (document, γ), serve everyone).
 //
-// Each session is the analytic TransferSession state machine of
-// sim::simulate_transfer — identical draw order, identical accounting — so
-// per-session results are bit-equal to simulate_transfer run standalone with
-// the same per-session seed (tests/test_fleet.cpp pins this). One event =
-// one transmission round (n frames); mid-round completion and the relevance
-// abort terminate exactly as in the analytic simulator.
+// Each session embeds a sim::SessionWalk, the same resumable walk the
+// analytic oracles (sim::simulate_transfer and friends) run to termination,
+// so per-session results are bit-equal to the oracle run standalone with the
+// same per-session seeds (tests/test_fleet.cpp pins this). One event = one
+// step_round() = one transmission round (n frames). Fleet telemetry observes
+// the walk through fleet::TelemetryObserver.
 //
 // Weak connectivity: when `config.outage` is set, every session owns a
 // session_clone() of the prototype outage model, driven on the session's own
 // link timeline (time since the session's start) by a dedicated per-session
-// RNG stream. The event loop then runs sim::simulate_resilient_transfer's
-// round body instead: frames transmitted into a fade are lost outright with
-// the airtime still charged, a round that ends inside a fade suspends the
-// session under exponential backoff + jitter until the link is observed up,
-// every retransmission request consumes retry budget, and an exhausted
-// budget or deadline terminates the session as degraded, carrying partial
-// content. With `outage == nullptr` the legacy always-up walk is untouched
-// (bit-identical to prior releases).
+// RNG stream, and the walk's link and retry policies engage (fades, suspend
+// under backoff, degraded termination; see sim/walk.hpp). With
+// `outage == nullptr` the walk is the plain always-up walk.
 //
 // Workload shape: `zipf_s > 0` replaces round-robin document assignment with
 // a Zipf(s) popularity draw, and `arrival_rate_hz > 0` replaces the uniform
@@ -35,15 +30,11 @@
 // shard-invariant; both default off, reproducing today's workload exactly.
 //
 // Edge proxy tier: when `config.proxy` is set, sessions fetch through an
-// edge proxy instead of straight from the origin, and the event loop runs
-// sim::simulate_proxied_transfer's walk — warm-replica draws on attach,
-// origin validation (the origin owning its own per-session OutageModel
-// clone), failover to stale-but-flagged replicas during origin fades,
-// per-round cell-handoff draws, and reconnect reconciliation of the client's
-// partial cache against the serving replica's generation. Each session's
-// proxy assignment and its proxy/origin RNG streams depend only on
-// (seed, i), so proxied runs stay deterministic and shard-invariant, with
-// per-session bit-parity against the proxied oracle.
+// edge proxy instead of straight from the origin: the walk's proxy policy
+// engages, with the origin owning its own per-session OutageModel clone.
+// Each session's proxy assignment and its proxy/origin RNG streams depend
+// only on (seed, i), so proxied runs stay deterministic and shard-invariant,
+// with per-session bit-parity against sim::simulate_proxied_transfer.
 //
 // Determinism: session i's RNGs (corruption, outage, jitter, document draw)
 // are seeded from (seed, i) only, shard partials are merged in shard order,
@@ -66,10 +57,6 @@
 #include "sim/transfer.hpp"
 #include "stats/describe.hpp"
 #include "util/thread_pool.hpp"
-
-namespace mobiweb::obs {
-class FlightRecorder;
-}  // namespace mobiweb::obs
 
 namespace mobiweb::fleet {
 
@@ -166,6 +153,8 @@ struct FleetProxyTotals {
   long sessions_ended_stale = 0;  // final serving replica was stale-flagged
   long origin_generation_bumps = 0;   // live replicas refreshed past a stale gen
   long reconcile_dropped_packets = 0; // held packets dropped by reconciliation
+
+  FleetProxyTotals& operator+=(const FleetProxyTotals& other);
 };
 
 struct FleetResult {

@@ -4,11 +4,27 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <numeric>
 
 #include "fleet/engine.hpp"
 #include "obs/export.hpp"
+#include "obs/flight.hpp"
 
 namespace mobiweb::fleet {
+
+namespace {
+
+static_assert(kMaxCookedPackets < 1024,
+              "CrumbLog::push_round_close packs round tallies 10 bits apiece");
+
+// Crumbs pushed through CrumbLog::push_round_close.
+bool is_round_close(obs::Event type) {
+  return type == obs::Event::kRoundEnd || type == obs::Event::kDecodeComplete ||
+         type == obs::Event::kAbortIrrelevant || type == obs::Event::kGiveUp ||
+         type == obs::Event::kDegraded;
+}
+
+}  // namespace
 
 std::vector<Crumb> CrumbLog::snapshot() const {
   std::vector<Crumb> out;
@@ -26,6 +42,20 @@ std::vector<Crumb> CrumbLog::snapshot() const {
   return out;
 }
 
+void TelemetryObserver::end(sim::WalkEnd how, double t, double received,
+                            sim::RoundTally open) {
+  if (ts == nullptr) return;
+  // The verdict crumb of each WalkEnd verdict, in enum order.
+  constexpr obs::Event kVerdict[sim::kWalkVerdicts] = {
+      obs::Event::kDecodeComplete, obs::Event::kAbortIrrelevant,
+      obs::Event::kGiveUp, obs::Event::kDegraded};
+  ts->add(obs::Channel::kSessionsEnded, t);
+  if (how == sim::WalkEnd::kGaveUp || how == sim::WalkEnd::kDegraded) {
+    ts->add(obs::Channel::kSessionsFailed, t);
+  }
+  crumbs->push_round_close(kVerdict[static_cast<int>(how)], t, received, open);
+}
+
 obs::SessionTrace materialize_trace(const std::string& label, double start_s,
                                     const sim::TransferResult& result,
                                     const CrumbLog& crumbs) {
@@ -33,6 +63,10 @@ obs::SessionTrace materialize_trace(const std::string& label, double start_s,
   trace.capture_events(true);
   trace.session_start(start_s);
   for (const Crumb& c : crumbs.snapshot()) {
+    if (is_round_close(c.type)) {
+      const sim::RoundTally t = c.tally();
+      trace.round_frames(t.sent, t.intact, t.corrupted, t.duplicate, t.lost);
+    }
     switch (c.type) {
       case obs::Event::kRoundStart:
         trace.round_start(c.aux, c.time);
@@ -83,6 +117,104 @@ obs::SessionTrace materialize_trace(const std::string& label, double start_s,
   }
   trace.session_end(start_s + result.time, result.content);
   return trace;
+}
+
+std::size_t trace_tail_target(double top_fraction, std::size_t sessions) {
+  if (top_fraction <= 0.0) return 0;
+  const auto k = static_cast<std::size_t>(
+      std::ceil(top_fraction * static_cast<double>(sessions)));
+  return std::min(k, sessions);
+}
+
+void TraceRetention::offer(std::uint32_t session, double start,
+                           const sim::TransferResult& result,
+                           std::unique_ptr<CrumbLog> crumbs) {
+  Candidate cand{session, start, result, std::move(crumbs)};
+  if (result.gave_up || result.degraded) {
+    failed_.push_back(std::move(cand));
+    return;
+  }
+  if (tail_target_ == 0) return;
+  // "a ranks before b": slower first, index breaks ties. The heap keeps the
+  // worst retained candidate at the front so it can be displaced.
+  const auto before = [](const Candidate& a, const Candidate& b) {
+    return ranks_before(a.result.time, a.session, b.result.time, b.session);
+  };
+  if (tail_.size() < tail_target_) {
+    tail_.push_back(std::move(cand));
+    std::push_heap(tail_.begin(), tail_.end(), before);
+    return;
+  }
+  if (before(cand, tail_.front())) {
+    std::pop_heap(tail_.begin(), tail_.end(), before);
+    tail_.back() = std::move(cand);
+    std::push_heap(tail_.begin(), tail_.end(), before);
+  }
+}
+
+std::vector<RetainedTrace> retained_traces(std::vector<TraceRetention> shards,
+                                           std::size_t tail_target,
+                                           obs::FlightRecorder* flight) {
+  // Global tail selection. Any global top-k non-failed session is within its
+  // own shard's top k (its shard holds at most k-1 sessions ranking before
+  // it), so gathering the per-shard heaps loses nothing. Failed sessions were
+  // kept unconditionally. Sort by the total rank order and cut: the retained
+  // set is exactly (global top-k) ∪ (failed), identical whatever the shard
+  // count.
+  std::vector<TraceRetention::Candidate> candidates;
+  std::vector<char> is_failed;
+  for (TraceRetention& shard : shards) {
+    for (TraceRetention::Candidate& c : shard.failed_) {
+      candidates.push_back(std::move(c));
+      is_failed.push_back(1);
+    }
+    for (TraceRetention::Candidate& c : shard.tail_) {
+      candidates.push_back(std::move(c));
+      is_failed.push_back(0);
+    }
+  }
+  std::vector<std::size_t> order(candidates.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return ranks_before(candidates[a].result.time, candidates[a].session,
+                        candidates[b].result.time, candidates[b].session);
+  });
+  std::vector<RetainedTrace> traces;
+  std::size_t tail_kept = 0;
+  for (const std::size_t idx : order) {
+    const bool failed = is_failed[idx] != 0;
+    const bool in_tail = tail_kept < tail_target;
+    if (!failed && !in_tail) continue;
+    if (in_tail) ++tail_kept;  // failed sessions occupy tail slots too
+    const TraceRetention::Candidate& c = candidates[idx];
+    std::string label = "session " + std::to_string(c.session);
+    if (c.result.degraded) label += " [degraded]";
+    else if (c.result.gave_up) label += " [gave_up]";
+    else if (c.result.aborted_irrelevant) label += " [aborted]";
+    traces.push_back(RetainedTrace{
+        c.session, c.result.time, failed,
+        materialize_trace(label, c.start, c.result, *c.crumbs),
+        c.crumbs->dropped()});
+  }
+  // Stable presentation order: by session index, whatever rank order the cut
+  // visited them in.
+  std::sort(traces.begin(), traces.end(),
+            [](const RetainedTrace& a, const RetainedTrace& b) {
+              return a.session < b.session;
+            });
+  if (flight != nullptr) {
+    for (const RetainedTrace& rt : traces) {
+      if (!rt.failed) continue;
+      flight->clear();
+      bool gave_up = false;
+      for (const obs::TraceEvent& e : rt.trace.events()) {
+        flight->record(e);
+        if (e.type == obs::Event::kGiveUp) gave_up = true;
+      }
+      flight->dump(gave_up ? "fleet.gave_up" : "fleet.degraded");
+    }
+  }
+  return traces;
 }
 
 namespace {

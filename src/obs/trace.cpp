@@ -140,6 +140,17 @@ void SessionTrace::retransmit_request(double time, long pending) {
   push(Event::kRetransmitRequest, time, -1, static_cast<double>(pending));
 }
 
+void SessionTrace::round_frames(long sent, long intact, long corrupted,
+                                long duplicate, long lost) {
+  if (rounds_.empty()) return;
+  RoundSummary& r = rounds_.back();
+  r.frames_sent += sent;
+  r.frames_intact += intact;
+  r.frames_corrupted += corrupted;
+  r.frames_duplicate += duplicate;
+  r.frames_lost += lost;
+}
+
 void SessionTrace::outage_begin(double time) {
   ++outage_count_;
   push(Event::kOutageBegin, time, -1, 0.0);

@@ -122,6 +122,10 @@ class SessionTrace {
   // content >= 0 also records the round's closing information content (the
   // real stack reaches it through frame_intact; replayed breadcrumbs don't).
   void round_end(double time, double content = -1.0);
+  // Adds frame counts to the open round (no-op before any round) without
+  // per-frame events: a round replayed from a tally (fleet breadcrumbs).
+  void round_frames(long sent, long intact, long corrupted, long duplicate,
+                    long lost);
   void outage_begin(double time);
   void outage_end(double time, double duration_s);
   void backoff(double time, double wait_s);

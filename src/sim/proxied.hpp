@@ -18,9 +18,10 @@
 // against the serving replica's generation: matching packets are kept, a
 // generation mismatch drops the cached packets for re-fetch.
 //
-// This is the bit-parity oracle for the fleet engine's proxied mode
-// (FleetConfig::proxy): the engine runs this walk's body draw-for-draw, so
-// per-session results are EXPECT_EQ-able (tests/test_fleet.cpp pins it).
+// This is the session walk of sim/walk.hpp with the proxy and retry policies
+// engaged. The fleet engine's proxied mode (FleetConfig::proxy) steps the same
+// walk, so its per-session results are EXPECT_EQ-able against this oracle
+// (tests/test_fleet.cpp pins it).
 // With warm_hit = 1, a static corpus (update_interval_s = 0), handoff_rate =
 // 0, and no origin_up hook, the walk is bit-identical to
 // simulate_resilient_transfer (pinned in tests/test_sim.cpp).

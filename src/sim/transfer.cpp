@@ -1,8 +1,7 @@
 #include "sim/transfer.hpp"
 
-#include <algorithm>
-
 #include "obs/profile.hpp"
+#include "sim/walk.hpp"
 #include "util/check.hpp"
 
 namespace mobiweb::sim {
@@ -11,113 +10,13 @@ TransferResult simulate_transfer(const std::vector<double>& clear_content,
                                  const TransferConfig& config,
                                  const std::function<bool()>& next_corrupted) {
   MOBIWEB_PROFILE_SCOPE("sim.transfer");
-  MOBIWEB_CHECK_MSG(config.m >= 1, "simulate_transfer: m >= 1");
-  MOBIWEB_CHECK_MSG(config.n >= config.m, "simulate_transfer: n >= m");
-  MOBIWEB_CHECK_MSG(static_cast<int>(clear_content.size()) == config.m,
-                    "simulate_transfer: clear_content must have m entries");
-  MOBIWEB_CHECK_MSG(config.max_rounds >= 1, "simulate_transfer: max_rounds >= 1");
-
-  double total_content = 0.0;
-  for (double c : clear_content) total_content += c;
-
-  const bool relevance_check = config.relevance_threshold >= 0.0;
-
-  TransferResult result;
-  std::vector<bool> seen(static_cast<std::size_t>(config.n), false);
-  int intact = 0;
-  double content = 0.0;
-  double stall_delay = 0.0;  // feedback time actually charged (incl. retries)
-  obs::SessionTrace* trace = config.trace;
-  double clock = 0.0;
-  if (trace != nullptr) trace->session_start(clock);
-
-  const auto finish = [&](double received) {
-    result.content = received;
-    result.time = static_cast<double>(result.packets) * config.time_per_packet +
-                  stall_delay;
-    if (trace != nullptr) trace->session_end(clock, received);
-  };
-
-  for (result.rounds = 1; result.rounds <= config.max_rounds; ++result.rounds) {
-    if (trace != nullptr) trace->round_start(result.rounds, clock);
-    for (int i = 0; i < config.n; ++i) {
-      ++result.packets;
-      clock += config.time_per_packet;
-      if (trace != nullptr) trace->frame_sent(i, clock);
-      if (config.link_up && !config.link_up(clock)) {
-        // Lost to a dead link: airtime burned, nothing delivered, and the
-        // corruption model never sees the packet.
-        ++result.frames_lost;
-        if (trace != nullptr) trace->frame_lost(clock);
-        continue;
-      }
-      const bool corrupted = next_corrupted();
-      if (corrupted) {
-        if (trace != nullptr) trace->frame_corrupted(clock);
-      } else if (!seen[static_cast<std::size_t>(i)]) {
-        seen[static_cast<std::size_t>(i)] = true;
-        ++intact;
-        if (i < config.m) content += clear_content[static_cast<std::size_t>(i)];
-        if (trace != nullptr) {
-          trace->frame_intact(i, clock,
-                              (intact >= config.m) ? total_content : content);
-        }
-      } else if (trace != nullptr) {
-        trace->frame_duplicate(i, clock);
-      }
-      // As in TransferSession: condition 1 (reconstruction) takes precedence
-      // over condition 3 when the same packet triggers both.
-      if (intact >= config.m) {
-        result.completed = true;
-        if (trace != nullptr) trace->decode_complete(clock);
-        finish(total_content);
-        return result;
-      }
-      if (relevance_check && content >= config.relevance_threshold) {
-        // Condition 3 (§4.2): the user judges the document irrelevant.
-        result.aborted_irrelevant = true;
-        if (trace != nullptr) trace->abort_irrelevant(clock, content);
-        finish(content);
-        return result;
-      }
-    }
-    // Condition 2 without reconstruction: stalled round; retransmit.
-    if (trace != nullptr) trace->round_end(clock);
-    if (result.rounds == config.max_rounds) break;  // giving up: no request
-    // The retransmission request crosses the (possibly lossy) back channel;
-    // each dropped request costs one request_delay — the client's timeout —
-    // before the retry. A reliable channel (no hook) charges exactly one.
-    int tries = 1;
-    if (config.feedback_lost) {
-      while (tries < kMaxFeedbackTries && config.feedback_lost()) ++tries;
-    }
-    if (trace != nullptr) trace->retransmit_request(clock);
-    const double stall = static_cast<double>(tries) * config.request_delay;
-    clock += stall;
-    stall_delay += stall;
-    if (!config.caching) {
-      std::fill(seen.begin(), seen.end(), false);
-      intact = 0;
-      content = 0.0;
-    }
-  }
-
-  // Gave up while stalled: report the receiver's state as it stood when the
-  // final round closed (no trailing cache flush, no trailing request).
-  result.rounds = config.max_rounds;
-  result.gave_up = true;
-  result.completed = false;
-  if (trace != nullptr) trace->give_up(clock);
-  finish(content);
-  return result;
+  return walk_to_end(clear_content, config, nullptr, 0, nullptr, next_corrupted)
+      .transfer;
 }
 
 TransferResult simulate_transfer(const std::vector<double>& clear_content,
                                  const TransferConfig& config, Rng& rng) {
-  MOBIWEB_CHECK_MSG(config.alpha >= 0.0 && config.alpha < 1.0,
-                    "simulate_transfer: alpha in [0,1)");
-  return simulate_transfer(clear_content, config,
-                           [&rng, &config] { return rng.next_bernoulli(config.alpha); });
+  return simulate_transfer(clear_content, config, bernoulli_draws(config, rng));
 }
 
 TransferResult simulate_resilient_transfer(
@@ -125,177 +24,16 @@ TransferResult simulate_resilient_transfer(
     const ResilientTransferConfig& config,
     const std::function<bool()>& next_corrupted) {
   MOBIWEB_PROFILE_SCOPE("sim.resilient_transfer");
-  const TransferConfig& base = config.base;
-  const RetryConfig& rp = config.retry;
-  MOBIWEB_CHECK_MSG(base.m >= 1, "simulate_resilient_transfer: m >= 1");
-  MOBIWEB_CHECK_MSG(base.n >= base.m, "simulate_resilient_transfer: n >= m");
-  MOBIWEB_CHECK_MSG(static_cast<int>(clear_content.size()) == base.m,
-                    "simulate_resilient_transfer: clear_content must have m entries");
-  MOBIWEB_CHECK_MSG(base.max_rounds >= 1,
-                    "simulate_resilient_transfer: max_rounds >= 1");
-  MOBIWEB_CHECK_MSG(rp.retry_budget >= 1,
-                    "simulate_resilient_transfer: retry_budget >= 1");
-  MOBIWEB_CHECK_MSG(rp.initial_timeout_s >= 0.0,
-                    "simulate_resilient_transfer: initial_timeout_s >= 0");
-  MOBIWEB_CHECK_MSG(rp.backoff_multiplier >= 1.0,
-                    "simulate_resilient_transfer: backoff_multiplier >= 1");
-  MOBIWEB_CHECK_MSG(rp.max_backoff_s >= rp.initial_timeout_s,
-                    "simulate_resilient_transfer: max_backoff_s >= initial_timeout_s");
-  MOBIWEB_CHECK_MSG(rp.jitter >= 0.0, "simulate_resilient_transfer: jitter >= 0");
-
-  double total_content = 0.0;
-  for (double c : clear_content) total_content += c;
-  const bool relevance_check = base.relevance_threshold >= 0.0;
-
-  TransferResult result;
-  std::vector<bool> seen(static_cast<std::size_t>(base.n), false);
-  int intact = 0;
-  double content = 0.0;
-  double stall_delay = 0.0;  // feedback delay + every backoff wait
-  obs::SessionTrace* trace = base.trace;
-  double clock = 0.0;
-  Rng jitter_rng(config.jitter_seed);
-  double backoff = rp.initial_timeout_s;
-  if (trace != nullptr) trace->session_start(clock);
-
-  const auto finish = [&](double received) {
-    result.content = received;
-    result.time = static_cast<double>(result.packets) * base.time_per_packet +
-                  stall_delay;
-    if (trace != nullptr) trace->session_end(clock, received);
-  };
-  const auto deadline_exceeded = [&] {
-    return rp.deadline_s >= 0.0 && clock >= rp.deadline_s;
-  };
-  // One client wait: current backoff stretched by the jitter draw. The draw
-  // happens unconditionally (even at jitter = 0) so the jitter stream stays
-  // aligned with ResilientSession's, wait-for-wait.
-  const auto wait_one_backoff = [&] {
-    const double wait = backoff * (1.0 + rp.jitter * jitter_rng.next_double());
-    clock += wait;
-    stall_delay += wait;
-    result.backoff_s += wait;
-    if (trace != nullptr) trace->backoff(clock, wait);
-    backoff = std::min(backoff * rp.backoff_multiplier, rp.max_backoff_s);
-  };
-  const auto finish_degraded = [&] {
-    result.degraded = true;
-    if (trace != nullptr) trace->degraded(clock, content);
-    finish(content);
-  };
-
-  for (result.rounds = 1;; ++result.rounds) {
-    if (trace != nullptr) trace->round_start(result.rounds, clock);
-    for (int i = 0; i < base.n; ++i) {
-      ++result.packets;
-      clock += base.time_per_packet;
-      if (trace != nullptr) trace->frame_sent(i, clock);
-      if (base.link_up && !base.link_up(clock)) {
-        // In a fade: airtime burned, nothing delivered.
-        ++result.frames_lost;
-        if (trace != nullptr) trace->frame_lost(clock);
-        continue;
-      }
-      const bool corrupted = next_corrupted();
-      if (corrupted) {
-        if (trace != nullptr) trace->frame_corrupted(clock);
-      } else if (!seen[static_cast<std::size_t>(i)]) {
-        seen[static_cast<std::size_t>(i)] = true;
-        ++intact;
-        if (i < base.m) content += clear_content[static_cast<std::size_t>(i)];
-        if (trace != nullptr) {
-          trace->frame_intact(i, clock,
-                              (intact >= base.m) ? total_content : content);
-        }
-      } else if (trace != nullptr) {
-        trace->frame_duplicate(i, clock);
-      }
-      // Reconstruction (condition 1) outranks the relevance abort
-      // (condition 3), as everywhere else in the stack.
-      if (intact >= base.m) {
-        result.completed = true;
-        if (trace != nullptr) trace->decode_complete(clock);
-        finish(total_content);
-        return result;
-      }
-      if (relevance_check && content >= base.relevance_threshold) {
-        result.aborted_irrelevant = true;
-        if (trace != nullptr) trace->abort_irrelevant(clock, content);
-        finish(content);
-        return result;
-      }
-    }
-    if (trace != nullptr) trace->round_end(clock);
-    // Give up BEFORE the suspend check (as ResilientSession breaks before
-    // touching the back channel): `>=` so a counter that ever steps past the
-    // cap still terminates.
-    if (result.rounds >= base.max_rounds) break;
-
-    // Suspend-on-outage: when the round ended inside a fade, re-requesting is
-    // futile — back off (consuming budget, so a link that never returns still
-    // terminates) until the link is observed up, then resume from whatever
-    // the cache kept.
-    bool suspended = false;
-    double outage_started = clock;
-    while (base.link_up && !base.link_up(clock)) {
-      if (!suspended) {
-        outage_started = clock;
-        if (trace != nullptr) trace->outage_begin(clock);
-      }
-      if (result.request_attempts >= rp.retry_budget || deadline_exceeded()) {
-        finish_degraded();
-        return result;
-      }
-      ++result.request_attempts;
-      suspended = true;
-      wait_one_backoff();
-    }
-    if (suspended) {
-      ++result.suspensions;
-      backoff = rp.initial_timeout_s;  // link is back: start fresh
-      if (trace != nullptr) {
-        trace->outage_end(clock, clock - outage_started);
-        trace->resume(clock);
-      }
-    }
-
-    // Re-request until one message survives the back channel. Every attempt —
-    // including the one that succeeds — consumes retry budget, exactly as in
-    // ResilientSession.
-    for (;;) {
-      if (result.request_attempts >= rp.retry_budget || deadline_exceeded()) {
-        finish_degraded();
-        return result;
-      }
-      ++result.request_attempts;
-      if (!base.feedback_lost || !base.feedback_lost()) break;
-      wait_one_backoff();  // timeout: the request is presumed lost
-    }
-    if (trace != nullptr) trace->retransmit_request(clock);
-    backoff = rp.initial_timeout_s;
-    clock += base.request_delay;
-    stall_delay += base.request_delay;
-    if (!base.caching) {
-      std::fill(seen.begin(), seen.end(), false);
-      intact = 0;
-      content = 0.0;
-    }
-  }
-
-  result.gave_up = true;
-  if (trace != nullptr) trace->give_up(clock);
-  finish(content);
-  return result;
+  return walk_to_end(clear_content, config.base, &config.retry,
+                     config.jitter_seed, nullptr, next_corrupted)
+      .transfer;
 }
 
 TransferResult simulate_resilient_transfer(
     const std::vector<double>& clear_content,
     const ResilientTransferConfig& config, Rng& rng) {
-  MOBIWEB_CHECK_MSG(config.base.alpha >= 0.0 && config.base.alpha < 1.0,
-                    "simulate_resilient_transfer: alpha in [0,1)");
-  return simulate_resilient_transfer(
-      clear_content, config,
-      [&rng, &config] { return rng.next_bernoulli(config.base.alpha); });
+  return simulate_resilient_transfer(clear_content, config,
+                                     bernoulli_draws(config.base, rng));
 }
 
 TransferResult simulate_arq_transfer(const std::vector<double>& clear_content,

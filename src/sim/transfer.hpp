@@ -1,9 +1,10 @@
 // Packet-level analytic transfer simulator.
 //
-// Mirrors transmit::TransferSession + ida::StreamingDecoder semantics exactly
+// Models transmit::TransferSession + ida::StreamingDecoder semantics exactly
 // but replaces real encoding/CRC with Bernoulli corruption draws, so millions
 // of document transfers run in seconds. tests/test_sim_vs_real.cpp checks the
-// two paths agree on identical corruption patterns.
+// two paths agree on identical corruption patterns. simulate_transfer and
+// simulate_resilient_transfer run the session walk of sim/walk.hpp.
 #pragma once
 
 #include <functional>
@@ -89,18 +90,19 @@ TransferResult simulate_transfer(const std::vector<double>& clear_content,
                                  const TransferConfig& config,
                                  const std::function<bool()>& next_corrupted);
 
-// Analytic mirror of transmit::ResilientSession — the weakly-connected round
-// body. Per round the n frames go out with airtime charged whether or not the
-// link is up (config.base.link_up decides frame loss); a stalled round whose
-// end falls inside a fade suspends the client, which backs off exponentially
-// (jittered, consuming retry budget) until the link is observed up; every
-// retransmission request — including successful ones — consumes budget, and
-// an exhausted budget or deadline terminates with `degraded = true` carrying
-// the partial content collected so far. Draw order matches ResilientSession
-// draw-for-draw: corruption from `rng`, jitter from a dedicated stream seeded
-// by `jitter_seed` (one draw per wait even at jitter = 0), link-availability
-// queries in the exact sequence the real session makes them — which is what
-// keeps the fleet-vs-oracle parity tests exact. With link_up unset and
+// Analytic model of transmit::ResilientSession: the session walk
+// (sim/walk.hpp) with the retry policy engaged. Per round the n frames go out
+// with airtime charged whether or not the link is up (config.base.link_up
+// decides frame loss); a stalled round whose end falls inside a fade suspends
+// the client, which backs off exponentially (jittered, consuming retry
+// budget) until the link is observed up; every retransmission request —
+// including successful ones — consumes budget, and an exhausted budget or
+// deadline terminates with `degraded = true` carrying the partial content
+// collected so far. Draw order matches ResilientSession: corruption from
+// `rng`, jitter from a dedicated stream seeded by `jitter_seed` (one draw per
+// wait even at jitter = 0), link-availability queries in the sequence the
+// real session makes them. The fleet engine steps the same walk, so its
+// per-session results equal this oracle's. With link_up unset and
 // retry_budget > max_rounds the walk is bit-identical to simulate_transfer.
 TransferResult simulate_resilient_transfer(
     const std::vector<double>& clear_content,

@@ -48,8 +48,7 @@ class Moments {
 
 // Distribution summary of one metric: the mean with a Student-t 95%
 // confidence half-width plus the tail quantiles the perf gate compares.
-// Produced either exactly (summarize_tails, from the full sample set) or
-// approximately (StreamingQuantiles::summary, fixed memory).
+// Produced exactly by summarize_tails, from the full sample set.
 struct TailSummary {
   std::size_t count = 0;
   double mean = 0.0;

@@ -1,29 +1,8 @@
-// Order statistics: exact quantiles over full sample sets, and fixed-memory
-// streaming quantile estimation (Jain & Chlamtac's P-squared algorithm) for
-// series too large or too long-lived to keep around — the fleet engine's
-// per-shard session-time tails, histogram calibration, long bench sweeps.
-//
-// Accuracy contract (pinned by tests/test_stats.cpp on deterministic
-// uniform, exponential and Zipf draws):
-//   * n <= kExactWindow samples: StreamingQuantiles answers are *exact*
-//     (type-7 order statistics over a retained buffer);
-//   * n > kExactWindow: the P-squared estimate of quantile q lies within the
-//     closed envelope of exact sample quantiles
-//         [exact_quantile(q - kRankError), exact_quantile(q + kRankError)]
-//     with kRankError = 0.025 — i.e. the estimator may misplace a quantile by
-//     at most 2.5 points of rank on the distribution families we serve. This
-//     is the bound the property tests enforce; treat it as the API guarantee.
-//
-// NaN handling: add() rejects NaN (returns false, state unchanged). Quantile
-// queries on an empty estimator return NaN; a single sample answers every
-// quantile with itself.
+// Order statistics: exact quantiles over full sample sets (the fleet
+// engine's session-time tails, histogram calibration, bench sweeps).
 #pragma once
 
-#include <array>
-#include <cstddef>
 #include <vector>
-
-#include "stats/describe.hpp"
 
 namespace mobiweb::stats {
 
@@ -35,61 +14,5 @@ double exact_quantile_sorted(const std::vector<double>& sorted, double q);
 
 // Convenience: copies, drops NaNs, sorts, then reads exact_quantile_sorted.
 double exact_quantile(std::vector<double> samples, double q);
-
-// One P-squared marker set tracking a single quantile q in O(1) memory:
-// five markers whose heights converge on the {0, q/2, q, (1+q)/2, 1}
-// sample quantiles via piecewise-parabolic adjustment. Exact while n <= 5.
-class P2Quantile {
- public:
-  explicit P2Quantile(double q);
-
-  // Returns false (and ignores the sample) when x is NaN.
-  bool add(double x);
-
-  // Current estimate; NaN when no samples have been accepted.
-  [[nodiscard]] double value() const;
-  [[nodiscard]] double q() const { return q_; }
-  [[nodiscard]] std::size_t count() const { return n_; }
-
- private:
-  double q_;
-  std::size_t n_ = 0;
-  std::array<double, 5> height_{};    // marker heights (sample values)
-  std::array<double, 5> pos_{};       // actual marker positions (1-based ranks)
-  std::array<double, 5> want_{};      // desired positions
-  std::array<double, 5> step_{};      // desired-position increments per sample
-};
-
-// The quantile set the perf gate compares: p50/p95/p99/p999, plus streaming
-// moments for the mean and its Student-t confidence interval. Keeps the first
-// kExactWindow samples verbatim so small runs are summarized exactly; beyond
-// that, queries fall through to the P-squared markers (see the accuracy
-// contract above).
-class StreamingQuantiles {
- public:
-  static constexpr std::size_t kExactWindow = 64;
-  // Documented rank-error bound for the streaming regime (see header).
-  static constexpr double kRankError = 0.025;
-
-  StreamingQuantiles();
-
-  // Returns false (and ignores the sample) when x is NaN.
-  bool add(double x);
-
-  // q must be one of the tracked quantiles {0.5, 0.95, 0.99, 0.999}.
-  [[nodiscard]] double quantile(double q) const;
-
-  [[nodiscard]] std::size_t count() const { return moments_.count(); }
-  [[nodiscard]] const Moments& moments() const { return moments_; }
-
-  // TailSummary over everything seen so far: exact when count() is within
-  // the retained window, P-squared estimates beyond it.
-  [[nodiscard]] TailSummary summary() const;
-
- private:
-  std::array<P2Quantile, 4> trackers_;
-  Moments moments_;
-  std::vector<double> window_;  // first kExactWindow samples, unsorted
-};
 
 }  // namespace mobiweb::stats

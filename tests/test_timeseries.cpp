@@ -1,8 +1,10 @@
 // Fleet telemetry: TimeSeries bucketing/clamping/merge algebra, the
 // per-session breadcrumb ring, tail-based trace retention (exact top-k plus
 // every failure, bounded, deterministic under ties), shard-count
-// bit-invariance of the whole exported timeline document, and the
-// FlightRecorder postmortem wiring for degraded / gave-up sessions.
+// bit-invariance of the whole exported timeline document, the
+// FlightRecorder postmortem wiring for degraded / gave-up sessions, and
+// materialized traces that agree with the oracle's trace of the same session
+// (per-round frame tallies included).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +19,7 @@
 #include "fleet/telemetry.hpp"
 #include "obs/flight.hpp"
 #include "obs/timeseries.hpp"
+#include "sim/proxied.hpp"
 
 namespace mw = mobiweb;
 namespace fleet = mobiweb::fleet;
@@ -279,8 +282,10 @@ TEST(FleetTelemetry, RetentionKeepsEveryFailureAndTheExactSlowestTail) {
 
 TEST(FleetTelemetry, MaterializedTracesCarryTheTerminalVerdict) {
   fleet::FleetConfig cfg = lossy_config(200);
+  cfg.record_outcomes = true;
   const fleet::FleetResult r = run_with_shards(cfg, 2);
   ASSERT_GT(r.traces.size(), 0u);
+  int lossy_sessions = 0;
   for (const fleet::RetainedTrace& rt : r.traces) {
     const obs::SessionTrace& t = rt.trace;
     EXPECT_EQ(rt.failed, t.degraded() || t.gave_up());
@@ -290,7 +295,26 @@ TEST(FleetTelemetry, MaterializedTracesCarryTheTerminalVerdict) {
     EXPECT_EQ(t.events().back().type, obs::Event::kSessionEnd);
     EXPECT_NE(t.label().find("session " + std::to_string(rt.session)),
               std::string::npos);
+    // Round spans carry the walk's own per-round frame tally: every round
+    // sent frames, and the classifications add up to what it sent.
+    const mw::sim::TransferResult& result = r.outcomes[rt.session].result;
+    long sent = 0;
+    long lost = 0;
+    for (const obs::RoundSummary& round : t.rounds()) {
+      EXPECT_GT(round.frames_sent, 0) << "session " << rt.session;
+      EXPECT_EQ(round.frames_sent, round.frames_intact + round.frames_corrupted +
+                                       round.frames_duplicate + round.frames_lost);
+      sent += round.frames_sent;
+      lost += round.frames_lost;
+    }
+    if (rt.crumbs_dropped == 0) {
+      EXPECT_EQ(static_cast<int>(t.rounds().size()), result.rounds);
+      EXPECT_EQ(sent, result.packets);
+      EXPECT_EQ(lost, result.frames_lost);
+      if (result.frames_lost > 0) ++lossy_sessions;
+    }
   }
+  EXPECT_GT(lossy_sessions, 0) << "config must retain sessions that lost frames";
 }
 
 // ---- FlightRecorder postmortem wiring -------------------------------------
@@ -332,4 +356,103 @@ TEST(FleetTelemetry, TelemetryNeverAltersSessionResults) {
   EXPECT_EQ(a.rounds, b.rounds);
   EXPECT_DOUBLE_EQ(a.session_time_s, b.session_time_s);
   EXPECT_DOUBLE_EQ(a.makespan_s, b.makespan_s);
+}
+
+// ---- Fleet trace vs oracle trace --------------------------------------------
+
+TEST(FleetTelemetry, RetainedProxiedTraceMatchesTheOracleTrace) {
+  // A degraded proxied session's materialized trace, replayed from its
+  // breadcrumbs, must tell the same story as the oracle's full trace of the
+  // same session: the same cross-tier events and the same per-round frame
+  // tallies (times differ only by the session's start offset).
+  fleet::FleetConfig cfg = lossy_config(300);
+  cfg.alpha = 0.45;
+  cfg.max_rounds = 10;
+  cfg.record_outcomes = true;
+  cfg.proxy.emplace();
+  cfg.proxy->model.warm_hit = 0.6;
+  cfg.proxy->model.replica_age_mean_s = 40.0;
+  cfg.proxy->model.handoff_rate = 0.35;
+  cfg.proxy->model.update_interval_s = 15.0;
+  cfg.proxy->origin_outage = std::make_shared<mw::channel::MarkovOutageModel>(
+      mw::channel::MarkovOutageModel::with_duty_cycle(0.4, 6.0));
+  cfg.shards = 3;
+  fleet::FleetEngine engine(cfg);
+  const fleet::FleetResult r = engine.run();
+
+  int compared = 0;
+  // Cross-tier events compared, summed over the replayed sessions.
+  long outages = 0, origin_outages = 0, handoffs = 0, stale = 0, dropped = 0;
+  for (const fleet::RetainedTrace& rt : r.traces) {
+    const fleet::SessionOutcome& out = r.outcomes[rt.session];
+    if (!out.result.degraded || rt.crumbs_dropped != 0) continue;
+
+    const auto cooked = engine.cache().get(out.key);
+    mw::sim::ProxiedTransferConfig pc;
+    pc.base.m = static_cast<int>(cooked->transmitter.m());
+    pc.base.n = static_cast<int>(cooked->transmitter.n());
+    pc.base.alpha = cfg.alpha;
+    pc.base.caching = cfg.caching;
+    pc.base.relevance_threshold = cfg.relevance_threshold;
+    pc.base.time_per_packet =
+        static_cast<double>(cooked->frame_size) * 8.0 / cfg.bandwidth_bps;
+    pc.base.request_delay = cfg.request_delay;
+    pc.base.max_rounds = cfg.max_rounds;
+    pc.retry = cfg.retry;
+    pc.proxy = cfg.proxy->model;
+    pc.jitter_seed = fleet::session_jitter_seed(cfg.seed, rt.session);
+    pc.proxy_seed = fleet::session_proxy_seed(cfg.seed, rt.session);
+    const std::shared_ptr<mw::channel::OutageModel> link =
+        cfg.outage->session_clone();
+    const auto link_rng = std::make_shared<mw::Rng>(
+        fleet::session_outage_seed(cfg.seed, rt.session));
+    pc.base.link_up = [link, link_rng](double t) {
+      return link->link_up(t, *link_rng);
+    };
+    const std::shared_ptr<mw::channel::OutageModel> origin =
+        cfg.proxy->origin_outage->session_clone();
+    const auto origin_rng = std::make_shared<mw::Rng>(
+        fleet::session_origin_seed(cfg.seed, rt.session));
+    pc.origin_up = [origin, origin_rng](double t) {
+      return origin->link_up(t, *origin_rng);
+    };
+    obs::SessionTrace oracle;
+    pc.base.trace = &oracle;
+    mw::Rng rng(fleet::session_seed(cfg.seed, rt.session));
+    mw::sim::simulate_proxied_transfer(cooked->clear_content, pc, rng);
+
+    const obs::SessionTrace& fleet_trace = rt.trace;
+    EXPECT_TRUE(oracle.degraded());
+    EXPECT_TRUE(fleet_trace.degraded());
+    EXPECT_EQ(fleet_trace.outage_count(), oracle.outage_count());
+    EXPECT_EQ(fleet_trace.origin_outage_count(), oracle.origin_outage_count());
+    EXPECT_EQ(fleet_trace.handoff_count(), oracle.handoff_count());
+    EXPECT_EQ(fleet_trace.stale_failover_count(),
+              oracle.stale_failover_count());
+    EXPECT_EQ(fleet_trace.reconcile_dropped(), oracle.reconcile_dropped());
+    ASSERT_EQ(fleet_trace.rounds().size(), oracle.rounds().size());
+    for (std::size_t i = 0; i < oracle.rounds().size(); ++i) {
+      const obs::RoundSummary& a = fleet_trace.rounds()[i];
+      const obs::RoundSummary& b = oracle.rounds()[i];
+      EXPECT_EQ(a.round, b.round);
+      EXPECT_EQ(a.frames_sent, b.frames_sent);
+      EXPECT_EQ(a.frames_intact, b.frames_intact);
+      EXPECT_EQ(a.frames_corrupted, b.frames_corrupted);
+      EXPECT_EQ(a.frames_duplicate, b.frames_duplicate);
+      EXPECT_EQ(a.frames_lost, b.frames_lost);
+    }
+    outages += oracle.outage_count();
+    origin_outages += oracle.origin_outage_count();
+    handoffs += oracle.handoff_count();
+    stale += oracle.stale_failover_count();
+    dropped += oracle.reconcile_dropped();
+    ++compared;
+  }
+  EXPECT_GT(compared, 0) << "config must retain degraded proxied sessions";
+  // Every cross-tier event kind was compared somewhere.
+  EXPECT_GT(outages, 0);
+  EXPECT_GT(origin_outages, 0);
+  EXPECT_GT(handoffs, 0);
+  EXPECT_GT(stale, 0);
+  EXPECT_GT(dropped, 0);
 }
