@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <bitset>
 #include <chrono>
+#include <deque>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <queue>
 
@@ -15,22 +17,25 @@ namespace mobiweb::fleet {
 namespace {
 
 // Edge-tier per-session state; allocated only when FleetConfig::proxy is set
-// so non-proxied fleets pay one pointer per session, not this.
+// so non-proxied fleets pay one pointer per slot, not this.
 struct ProxyState {
   sim::EdgeState edge;
   std::unique_ptr<channel::OutageModel> origin;  // nullptr = origin always up
   Rng origin_rng{0};
 };
-static_assert(sizeof(ProxyState) <= 160, "ProxyState grew: it is per session");
+static_assert(sizeof(ProxyState) <= 160, "ProxyState grew: it is per slot");
 
-// Per-session live state. Kept small on purpose: 1M sessions must fit a
-// couple hundred MB (peak RSS is a gated benchmark metric), and the per-frame
-// work is one Bernoulli draw plus bitmap arithmetic — no per-session byte
-// copies (cooked frames are shared read-only out of the DocumentCache).
+// One in-flight session's state, held in a recycled shard slot (see the
+// admission loop in FleetEngine::run). The heap parts (outage clones, proxy
+// state, crumb ring) live as long as the slot and are reset, not rebuilt, for
+// each session it serves. The per-frame work is one Bernoulli draw plus
+// bitmap arithmetic — no per-session byte copies (cooked frames are shared
+// read-only out of the DocumentCache).
 struct Session {
   Rng rng{0};  // corruption draws
   // shared_ptr, not a raw pointer: with a bounded DocumentCache the entry can
-  // be evicted mid-run, and the session must keep its document alive.
+  // be evicted mid-run, and the session must keep its document alive. Released
+  // when the session ends.
   std::shared_ptr<const CookedDocument> doc;
   double start = 0.0;
   // DocumentCache::build enforces n = ceil(gamma*m) <= kMaxCookedPackets at
@@ -41,11 +46,11 @@ struct Session {
   Rng outage_rng{0};
   std::unique_ptr<ProxyState> px;  // engaged only when FleetConfig::proxy set
   // Breadcrumb span log; engaged only when FleetConfig::telemetry is set.
-  // Moved into the shard's TraceRetention at finish, so it is only ever
-  // alive for in-flight sessions.
+  // Offered to the shard's TraceRetention (which copies it if kept) at
+  // finish, then cleared for the slot's next session.
   std::unique_ptr<CrumbLog> crumbs;
 };
-static_assert(sizeof(Session) <= 264, "Session grew: it is per session");
+static_assert(sizeof(Session) <= 264, "Session grew: it is per slot");
 
 // The walk's environment for one fleet session: every draw comes from the
 // session's own streams, and the link and origin from its OutageModel clones.
@@ -65,16 +70,19 @@ struct SessionEnv {
   sim::EdgeState* edge() { return s.px != nullptr ? &s.px->edge : nullptr; }
 };
 
-// Min-heap event: next round of session `index` fires at time `t`. Ties break
-// on the session index so processing order is deterministic.
+// Min-heap event: next round of session `index`, held in shard slot `slot`,
+// fires at time `t`. Ties break on the session index so processing order is
+// deterministic; the slot rides in what would be padding.
 struct Event {
   double t = 0.0;
   std::uint32_t index = 0;
+  std::uint32_t slot = 0;
   friend bool operator>(const Event& a, const Event& b) {
     if (a.t != b.t) return a.t > b.t;
     return a.index > b.index;
   }
 };
+static_assert(sizeof(Event) == 16, "Event grew: the heap holds one per slot");
 
 // One shard's share of the run: the FleetResult sums over its sessions
 // (with telemetry, `sums.timeseries` is its time buckets), their transfer
@@ -143,6 +151,9 @@ FleetProxyTotals session_totals(const sim::ProxyStats& p) {
 // The fleet's own fields plus the retry and proxy-model configs the walk
 // will use.
 void validate(const FleetConfig& config) {
+  // Event, SessionOutcome and RetainedTrace carry 32-bit session indices.
+  MOBIWEB_CHECK_MSG(config.sessions <= std::numeric_limits<std::uint32_t>::max(),
+                    "FleetConfig: sessions fit a 32-bit session index");
   MOBIWEB_CHECK_MSG(!config.gammas.empty(), "FleetConfig: no gammas");
   MOBIWEB_CHECK_MSG(config.alpha >= 0.0 && config.alpha < 1.0,
                     "FleetConfig: alpha in [0,1)");
@@ -151,6 +162,10 @@ void validate(const FleetConfig& config) {
   MOBIWEB_CHECK_MSG(config.zipf_s >= 0.0, "FleetConfig: zipf_s >= 0");
   MOBIWEB_CHECK_MSG(config.arrival_rate_hz >= 0.0,
                     "FleetConfig: arrival_rate_hz >= 0");
+  // Admission walks sessions in index order, so starts must not decrease.
+  MOBIWEB_CHECK_MSG(std::isfinite(config.arrival_spread_s) &&
+                        config.arrival_spread_s >= 0.0,
+                    "FleetConfig: arrival_spread_s finite and >= 0");
   if (config.outage != nullptr || config.proxy.has_value()) {
     sim::validate(config.retry);
   }
@@ -260,7 +275,9 @@ FleetResult FleetEngine::run(ThreadPool* pool) {
   // Poisson arrivals: precompute every start serially from the fleet-wide
   // arrival stream (session 0 at t = 0, exponential inter-arrival gaps), so
   // starts are identical whatever the shard count. Rate 0 keeps the uniform
-  // stagger over [0, arrival_spread_s).
+  // stagger over [0, arrival_spread_s). Either way start_of(i) is
+  // non-decreasing in i, which lets each shard admit its sessions in index
+  // order.
   std::vector<double> poisson_starts;
   if (config_.arrival_rate_hz > 0.0) {
     poisson_starts.reserve(sessions);
@@ -354,33 +371,58 @@ FleetResult FleetEngine::run(ThreadPool* pool) {
       tot.retention = TraceRetention(tail_target);
     }
 
-    // Materialize this shard's slice of sessions and seed its event heap.
-    std::vector<Session> states(hi - lo);
-    std::priority_queue<Event, std::vector<Event>, std::greater<Event>> heap;
-    for (std::size_t i = lo; i < hi; ++i) {
-      Session& s = states[i - lo];
+    // Slots of in-flight sessions, recycled through a free list: the table
+    // grows only when every slot is live, so its size is the shard's peak
+    // concurrency. A deque, so growing never moves (or briefly doubles) the
+    // live sessions.
+    std::deque<Session> slots;
+    std::vector<std::uint32_t> free_slots;
+    // Admits session i, starting at `start`, into a free or new slot.
+    const auto admit = [&](std::size_t i, double start) {
+      std::uint32_t slot = 0;
+      if (free_slots.empty()) {
+        slot = static_cast<std::uint32_t>(slots.size());
+        slots.emplace_back();
+      } else {
+        slot = free_slots.back();
+        free_slots.pop_back();
+      }
+      Session& s = slots[slot];
       s.rng.reseed(session_seed(config_.seed, i));
       s.doc = cache_.get(key_of(i));  // pins the document across evictions
-      s.start = start_of(i);
-      s.walk.begin(s.start, policy, session_jitter_seed(config_.seed, i));
+      s.start = start;
+      s.walk = {};
+      s.walk.begin(start, policy, session_jitter_seed(config_.seed, i));
+      // The heap parts are allocated with the slot and reset for every
+      // session; a reset() clone is what session_clone() returns.
       if (config_.outage != nullptr) {
-        s.outage = config_.outage->session_clone();
+        if (s.outage == nullptr) s.outage = config_.outage->clone();
+        s.outage->reset();
         s.outage_rng.reseed(session_outage_seed(config_.seed, i));
       }
       if (proxied) {
-        s.px = std::make_unique<ProxyState>();
+        if (s.px == nullptr) {
+          s.px = std::make_unique<ProxyState>();
+          if (config_.proxy->origin_outage != nullptr) {
+            s.px->origin = config_.proxy->origin_outage->clone();
+          }
+        }
+        s.px->edge = sim::EdgeState{};
         s.px->edge.proxy_rng.reseed(session_proxy_seed(config_.seed, i));
-        if (config_.proxy->origin_outage != nullptr) {
-          s.px->origin = config_.proxy->origin_outage->session_clone();
+        if (s.px->origin != nullptr) {
+          s.px->origin->reset();
           s.px->origin_rng.reseed(session_origin_seed(config_.seed, i));
         }
       }
       if (ts != nullptr) {
-        s.crumbs = std::make_unique<CrumbLog>(tc.crumb_capacity);
-        ts->add(obs::Channel::kSessionsStarted, s.start);
+        if (s.crumbs == nullptr) {
+          s.crumbs = std::make_unique<CrumbLog>(tc.crumb_capacity);
+        }
+        s.crumbs->clear();
+        ts->add(obs::Channel::kSessionsStarted, start);
       }
-      heap.push(Event{s.start, static_cast<std::uint32_t>(i)});
-    }
+      return slot;
+    };
 
     // Books a finished session: shard totals, trace candidates, metrics and
     // the optional per-session outcome.
@@ -408,9 +450,7 @@ FleetResult FleetEngine::run(ThreadPool* pool) {
         pstats = s.px->edge.stats;
         sum.proxy += session_totals(pstats);
       }
-      if (ts != nullptr) {
-        tot.retention.offer(index, s.start, r, std::move(s.crumbs));
-      }
+      if (ts != nullptr) tot.retention.offer(index, s.start, r, *s.crumbs);
       if (session_time != nullptr) {
         session_time->observe(r.time);
         session_time_by[static_cast<int>(s.walk.end)]->observe(r.time);
@@ -423,14 +463,31 @@ FleetResult FleetEngine::run(ThreadPool* pool) {
                             : 0,
             r, pstats};
       }
+      s.doc.reset();
     };
 
-    // Drain the heap: one event = one step of the session's walk, i.e. one
-    // transmission round.
-    while (!heap.empty()) {
-      const Event ev = heap.top();
-      heap.pop();
-      Session& s = states[ev.index - lo];
+    // One event = one step of a session's walk, i.e. one transmission round.
+    // The next session to admit, (start_of(next), next), is the smallest
+    // event among the unadmitted ones, so merging it with the heap in
+    // (t, index) order fires events exactly as if every session had been
+    // pushed up front.
+    std::priority_queue<Event, std::vector<Event>, std::greater<Event>> heap;
+    const auto arrival_of = [&](std::size_t i) {
+      return Event{start_of(i), static_cast<std::uint32_t>(i)};
+    };
+    std::size_t next = lo;
+    Event arrival = arrival_of(next);
+    while (next < hi || !heap.empty()) {
+      Event ev;
+      if (next < hi && (heap.empty() || heap.top() > arrival)) {
+        ev = arrival;
+        ev.slot = admit(next, ev.t);
+        if (++next < hi) arrival = arrival_of(next);
+      } else {
+        ev = heap.top();
+        heap.pop();
+      }
+      Session& s = slots[ev.slot];
       const CookedDocument& doc = *s.doc;
       sim::WalkPlan plan = policy;
       plan.clear_content = doc.clear_content.data();
@@ -444,10 +501,12 @@ FleetResult FleetEngine::run(ThreadPool* pool) {
       s.walk.step_round(plan, env, observer);
       if (s.walk.done()) {
         finish(ev.index, s, plan);
+        free_slots.push_back(ev.slot);
       } else {
-        heap.push(Event{s.walk.clock, ev.index});
+        heap.push(Event{s.walk.clock, ev.index, ev.slot});
       }
     }
+    tot.sums.peak_live_sessions = slots.size();
   });
 
   // Merge in shard order: deterministic for a fixed shard count; integer
@@ -462,6 +521,7 @@ FleetResult FleetEngine::run(ThreadPool* pool) {
     result.backoff_s += sum.backoff_s;
     result.makespan_s = std::max(result.makespan_s, sum.makespan_s);
     result.proxy += sum.proxy;
+    result.peak_live_sessions += sum.peak_live_sessions;
   }
   if (config_.metrics != nullptr) {
     obs::MetricsRegistry& reg = *config_.metrics;

@@ -5,9 +5,14 @@
 // the server-scale question — what does a γ-redundant multicast/unicast mix
 // cost when tens of thousands of clients fetch from a shared corpus
 // concurrently? Sessions are partitioned into contiguous shards; each shard
-// owns a time-ordered event heap and the state of its slice of sessions and
-// runs on one ThreadPool worker. Cooked packets come from a shared read-only
-// fleet::DocumentCache (encode once per (document, γ), serve everyone).
+// runs on one ThreadPool worker and owns a time-ordered event heap plus a
+// table of slots for its in-flight sessions. A session is admitted into a
+// slot when the shard clock reaches its start (start times are non-decreasing
+// in the session index, so admission is a cursor merged with the heap) and
+// its slot is recycled when it ends: shard state scales with peak
+// concurrency, not with the session count (FleetResult::peak_live_sessions).
+// Cooked packets come from a shared read-only fleet::DocumentCache (encode
+// once per (document, γ), serve everyone).
 //
 // Each session embeds a sim::SessionWalk, the same resumable walk the
 // analytic oracles (sim::simulate_transfer and friends) run to termination,
@@ -16,12 +21,13 @@
 // step_round() = one transmission round (n frames). Fleet telemetry observes
 // the walk through fleet::TelemetryObserver.
 //
-// Weak connectivity: when `config.outage` is set, every session owns a
-// session_clone() of the prototype outage model, driven on the session's own
-// link timeline (time since the session's start) by a dedicated per-session
-// RNG stream, and the walk's link and retry policies engage (fades, suspend
-// under backoff, degraded termination; see sim/walk.hpp). With
-// `outage == nullptr` the walk is the plain always-up walk.
+// Weak connectivity: when `config.outage` is set, every session runs on a
+// session_clone() of the prototype outage model (a recycled slot reset()s its
+// clone, which is the same thing), driven on the session's own link timeline
+// (time since the session's start) by a dedicated per-session RNG stream, and
+// the walk's link and retry policies engage (fades, suspend under backoff,
+// degraded termination; see sim/walk.hpp). With `outage == nullptr` the walk
+// is the plain always-up walk.
 //
 // Workload shape: `zipf_s > 0` replaces round-robin document assignment with
 // a Zipf(s) popularity draw, and `arrival_rate_hz > 0` replaces the uniform
@@ -79,8 +85,8 @@ struct FleetTelemetryConfig {
   std::size_t max_buckets = 4096;   // adds past the window clamp into the last
   // After the run, the slowest ceil(trace_top_fraction * sessions) sessions
   // plus every degraded / gave-up session are materialized into full traces
-  // (FleetResult::traces); everyone else only ever carries a fixed breadcrumb
-  // ring, so trace memory stays bounded at 1M sessions.
+  // (FleetResult::traces). In flight, a session carries only its slot's
+  // fixed breadcrumb ring, copied out at the end only if retention keeps it.
   double trace_top_fraction = 0.01;
   std::size_t crumb_capacity = 32;  // per-session breadcrumb ring entries
   double slo_tolerance = 0.5;       // relative drift allowed by the SLO gate
@@ -190,6 +196,11 @@ struct FleetResult {
   obs::TimeSeries timeseries;
   std::vector<RetainedTrace> traces;
   std::size_t trace_tail_target = 0;     // k used for the tail selection
+  // Σ over shards of the most sessions each held in flight at once (its slot
+  // table's size): what the engine's live state scales with. Deterministic
+  // for a fixed (seed, shards) pair but not shard-invariant, so it stays out
+  // of timeline_document().
+  std::size_t peak_live_sessions = 0;
 
   [[nodiscard]] double sessions_per_s() const {
     return elapsed_s > 0.0 ? static_cast<double>(sessions) / elapsed_s : 0.0;

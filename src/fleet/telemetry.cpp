@@ -128,10 +128,9 @@ std::size_t trace_tail_target(double top_fraction, std::size_t sessions) {
 
 void TraceRetention::offer(std::uint32_t session, double start,
                            const sim::TransferResult& result,
-                           std::unique_ptr<CrumbLog> crumbs) {
-  Candidate cand{session, start, result, std::move(crumbs)};
+                           const CrumbLog& crumbs) {
   if (result.gave_up || result.degraded) {
-    failed_.push_back(std::move(cand));
+    failed_.push_back(Candidate{session, start, result, crumbs});
     return;
   }
   if (tail_target_ == 0) return;
@@ -141,13 +140,18 @@ void TraceRetention::offer(std::uint32_t session, double start,
     return ranks_before(a.result.time, a.session, b.result.time, b.session);
   };
   if (tail_.size() < tail_target_) {
-    tail_.push_back(std::move(cand));
+    tail_.push_back(Candidate{session, start, result, crumbs});
     std::push_heap(tail_.begin(), tail_.end(), before);
     return;
   }
-  if (before(cand, tail_.front())) {
+  const Candidate& worst = tail_.front();
+  if (ranks_before(result.time, session, worst.result.time, worst.session)) {
     std::pop_heap(tail_.begin(), tail_.end(), before);
-    tail_.back() = std::move(cand);
+    Candidate& replaced = tail_.back();
+    replaced.session = session;
+    replaced.start = start;
+    replaced.result = result;
+    replaced.crumbs = crumbs;  // same capacity: reuses the displaced ring
     std::push_heap(tail_.begin(), tail_.end(), before);
   }
 }
@@ -193,8 +197,8 @@ std::vector<RetainedTrace> retained_traces(std::vector<TraceRetention> shards,
     else if (c.result.aborted_irrelevant) label += " [aborted]";
     traces.push_back(RetainedTrace{
         c.session, c.result.time, failed,
-        materialize_trace(label, c.start, c.result, *c.crumbs),
-        c.crumbs->dropped()});
+        materialize_trace(label, c.start, c.result, c.crumbs),
+        c.crumbs.dropped()});
   }
   // Stable presentation order: by session index, whatever rank order the cut
   // visited them in.

@@ -5,13 +5,16 @@
 // aggregates cannot give: time-bucketed metrics over the *simulated* clock
 // (obs::TimeSeries, one per shard, merged order-independently) and full
 // traces for the sessions that matter. Keeping a full obs::SessionTrace per
-// session is out of the question at 1M sessions, so every session instead
-// carries a CrumbLog — a fixed ring of the most recent span breadcrumbs
-// (round boundaries, outage windows, cross-tier events, the terminal
-// verdict). After the run, only the slowest ceil(trace_top_fraction *
-// sessions) sessions plus every degraded / gave-up session have their crumbs
-// materialized into full SessionTraces, which export through the existing
-// Perfetto timeline_json with the PR's cross-tier span annotations.
+// session is out of the question at 1M sessions, so every in-flight session
+// instead carries a CrumbLog — a fixed ring of the most recent span
+// breadcrumbs (round boundaries, outage windows, cross-tier events, the
+// terminal verdict). The ring lives in the session's engine slot and is
+// cleared when the slot is recycled, so ring memory scales with peak
+// concurrency, not with the session count. A finished session's ring is
+// copied out only if TraceRetention keeps it: the slowest
+// ceil(trace_top_fraction * sessions) sessions plus every degraded / gave-up
+// session, materialized after the run into full SessionTraces that export
+// through the Perfetto timeline_json with cross-tier span annotations.
 //
 // Everything here is deterministic: crumbs replay simulated timestamps, the
 // tail selection breaks ties on (time desc, session asc), and the timeline
@@ -20,7 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -65,9 +67,9 @@ struct Crumb {
 static_assert(sizeof(Crumb) == 24, "a crumb ring is 24 bytes per entry");
 
 // Fixed-capacity ring of the most recent crumbs — the per-session analogue
-// of obs::FlightRecorder, sized in the tens of bytes so a 1M-session fleet
-// can afford one each. Overwrites oldest at capacity; O(1) per push, no
-// allocation after construction.
+// of obs::FlightRecorder. Overwrites oldest at capacity; O(1) per push, no
+// allocation after construction, and clear() readies it for the next session
+// without freeing it.
 class CrumbLog {
  public:
   explicit CrumbLog(std::size_t capacity)
@@ -85,6 +87,12 @@ class CrumbLog {
     append(Crumb{type, static_cast<std::uint16_t>(tally.corrupted),
                  tally.sent | tally.intact << 10 | tally.lost << 20, time,
                  value});
+  }
+
+  // Forgets every crumb; the ring keeps its storage.
+  void clear() {
+    next_ = 0;
+    recorded_ = 0;
   }
 
   [[nodiscard]] std::size_t capacity() const { return ring_.size(); }
@@ -213,15 +221,17 @@ struct RetainedTrace {
 // Tail-based trace retention for one shard's finished sessions: every
 // degraded / gave-up session is kept unconditionally, the others compete for
 // a bounded max-heap of the `tail_target` slowest (any global top-k member is
-// necessarily within its own shard's top k). Only the breadcrumb rings are
-// held; retained_traces() materializes the survivors.
+// necessarily within its own shard's top k). Only copies of the breadcrumb
+// rings are held; retained_traces() materializes the survivors.
 class TraceRetention {
  public:
   explicit TraceRetention(std::size_t tail_target = 0)
       : tail_target_(tail_target) {}
 
+  // Copies `crumbs` only if the candidate is kept; a displaced tail entry's
+  // ring is overwritten in place, so a full heap allocates nothing more.
   void offer(std::uint32_t session, double start,
-             const sim::TransferResult& result, std::unique_ptr<CrumbLog> crumbs);
+             const sim::TransferResult& result, const CrumbLog& crumbs);
 
  private:
   friend std::vector<RetainedTrace> retained_traces(
@@ -234,7 +244,7 @@ class TraceRetention {
     std::uint32_t session = 0;
     double start = 0.0;
     sim::TransferResult result;
-    std::unique_ptr<CrumbLog> crumbs;
+    CrumbLog crumbs;
   };
 
   std::size_t tail_target_;

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -1159,4 +1160,146 @@ TEST(FleetEngine, BoundedCacheKeepsServingInvariantAcrossShardCounts) {
   EXPECT_LE(serial.cache().size(), 3u);
   EXPECT_LE(sharded.cache().size(), 3u);
   EXPECT_LE(serial.cache().evictions(), serial.cache().misses());
+}
+
+// ---- Live state: sessions admitted at their start, slots recycled ----
+
+TEST(FleetEngine, RejectsMoreSessionsThanIndexBits) {
+  // Session indices travel as 32 bits (events, outcomes, retained traces);
+  // a larger fleet must be refused up front, not wrap silently. Constructing
+  // is enough: validation runs before anything is sized by `sessions`.
+  fleet::FleetConfig cfg = small_config(0);
+  cfg.record_outcomes = false;
+  cfg.sessions = std::size_t{std::numeric_limits<std::uint32_t>::max()} + 1;
+  EXPECT_THROW(fleet::FleetEngine{cfg}, mw::ContractViolation);
+  cfg.sessions = std::numeric_limits<std::uint32_t>::max();
+  EXPECT_NO_THROW(fleet::FleetEngine{cfg});
+}
+
+TEST(FleetEngine, RejectsANegativeArrivalSpread) {
+  // Sessions are admitted in index order, which needs non-decreasing starts.
+  fleet::FleetConfig cfg = small_config(8);
+  cfg.arrival_spread_s = -10.0;
+  EXPECT_THROW(fleet::FleetEngine{cfg}, mw::ContractViolation);
+}
+
+namespace {
+
+// Every session needs at least two rounds: with n = m (gamma 1) the fade over
+// the first second of link time swallows a frame of round 1, so no session
+// ends in the event that admitted it.
+fleet::FleetConfig two_round_config(std::size_t sessions) {
+  fleet::FleetConfig cfg = outage_config(sessions);
+  cfg.gammas = {1.0};
+  cfg.outage = std::make_shared<mw::channel::FaultSchedule>(
+      std::vector<mw::channel::FaultSchedule::Window>{{0.0, 1.0}});
+  cfg.shards = 2;
+  return cfg;
+}
+
+}  // namespace
+
+TEST(FleetEngine, LiveStateBoundedByConcurrency) {
+  const std::size_t sessions = 2000;
+  // Staggered arrivals of short sessions: about one start per 10 s against
+  // session times of tens of seconds, so only a handful are ever in flight.
+  fleet::FleetConfig cfg = two_round_config(sessions);
+  cfg.arrival_spread_s = 20000.0;
+  fleet::FleetEngine staggered(cfg);
+  const fleet::FleetResult a = staggered.run();
+  EXPECT_GT(a.peak_live_sessions, 0u);
+  EXPECT_LT(a.peak_live_sessions * 20, sessions);
+
+  // All at t = 0: every session is in flight at once, so no slot recycles.
+  cfg.arrival_spread_s = 0.0;
+  fleet::FleetEngine burst(cfg);
+  const fleet::FleetResult b = burst.run();
+  EXPECT_EQ(b.peak_live_sessions, sessions);
+
+  // Session results are session-relative, so recycling changes nothing a
+  // session sees: per session, and in every aggregate but the makespan (the
+  // double sums only up to summation order).
+  ASSERT_EQ(a.outcomes.size(), sessions);
+  ASSERT_EQ(b.outcomes.size(), sessions);
+  for (std::size_t i = 0; i < sessions; ++i) {
+    const sim::TransferResult& x = a.outcomes[i].result;
+    const sim::TransferResult& y = b.outcomes[i].result;
+    ASSERT_GE(x.rounds, 2) << "session " << i;
+    EXPECT_EQ(x.packets, y.packets) << "session " << i;
+    EXPECT_EQ(x.rounds, y.rounds) << "session " << i;
+    EXPECT_EQ(x.completed, y.completed) << "session " << i;
+    EXPECT_EQ(x.gave_up, y.gave_up) << "session " << i;
+    EXPECT_EQ(x.degraded, y.degraded) << "session " << i;
+    EXPECT_EQ(x.content, y.content) << "session " << i;
+    EXPECT_EQ(x.time, y.time) << "session " << i;
+    EXPECT_EQ(x.frames_lost, y.frames_lost) << "session " << i;
+    EXPECT_EQ(x.request_attempts, y.request_attempts) << "session " << i;
+  }
+  EXPECT_EQ(a.completed, b.completed);
+  EXPECT_EQ(a.gave_up, b.gave_up);
+  EXPECT_EQ(a.aborted_irrelevant, b.aborted_irrelevant);
+  EXPECT_EQ(a.degraded, b.degraded);
+  EXPECT_EQ(a.frames_sent, b.frames_sent);
+  EXPECT_EQ(a.frames_lost, b.frames_lost);
+  EXPECT_EQ(a.rounds, b.rounds);
+  EXPECT_EQ(a.suspensions, b.suspensions);
+  EXPECT_EQ(a.bytes_sent, b.bytes_sent);
+  EXPECT_EQ(a.cache_hits, b.cache_hits);
+  EXPECT_EQ(a.cache_misses, b.cache_misses);
+  EXPECT_NEAR(a.content, b.content, 1e-9 * b.content);
+  EXPECT_NEAR(a.session_time_s, b.session_time_s, 1e-9 * b.session_time_s);
+  EXPECT_NEAR(a.backoff_s, b.backoff_s, 1e-9 * (1.0 + b.backoff_s));
+  // Tail summaries depend only on the sample multiset: exact.
+  EXPECT_EQ(a.session_time_tails.p50, b.session_time_tails.p50);
+  EXPECT_EQ(a.session_time_tails.p99, b.session_time_tails.p99);
+  EXPECT_EQ(a.session_time_tails.mean, b.session_time_tails.mean);
+}
+
+namespace {
+
+// A proxied fleet with link fades, origin fades and telemetry whose arrivals
+// are spread so thin that each shard slot serves several sessions in turn;
+// every session must still match the proxied oracle, and every retained
+// trace must hold only its own session's crumbs.
+void expect_recycled_slots_keep_parity(fleet::FleetConfig cfg) {
+  cfg.telemetry.emplace();
+  cfg.telemetry->trace_top_fraction = 0.05;
+  cfg.shards = 2;
+  fleet::FleetEngine engine(cfg);
+  const fleet::FleetResult r = engine.run();
+  ASSERT_EQ(r.outcomes.size(), cfg.sessions);
+  EXPECT_LT(r.peak_live_sessions * 4, cfg.sessions);
+  for (const fleet::SessionOutcome& out : r.outcomes) {
+    expect_session_matches_proxied_oracle(cfg, engine, out);
+  }
+  EXPECT_GT(r.proxy.failovers, 0);
+  EXPECT_GT(r.proxy.handoffs, 0);
+  EXPECT_GT(r.frames_lost, 0);
+  ASSERT_FALSE(r.traces.empty());
+  for (const fleet::RetainedTrace& rt : r.traces) {
+    const fleet::SessionOutcome& out = r.outcomes[rt.session];
+    for (const mw::obs::TraceEvent& e : rt.trace.events()) {
+      EXPECT_GE(e.time, out.start_s) << "session " << rt.session;
+    }
+    if (rt.crumbs_dropped == 0) {
+      EXPECT_EQ(static_cast<int>(rt.trace.rounds().size()), out.result.rounds)
+          << "session " << rt.session;
+    }
+  }
+}
+
+}  // namespace
+
+TEST(FleetProxy, RecycledSlotsKeepOracleParity) {
+  fleet::FleetConfig cfg = proxied_config(300);
+  cfg.outage = std::make_shared<mw::channel::MarkovOutageModel>(
+      mw::channel::MarkovOutageModel::with_duty_cycle(0.3, 5.0));
+  cfg.arrival_spread_s = 30000.0;
+  expect_recycled_slots_keep_parity(cfg);
+
+  // A FaultSchedule link: its clone copies the window list, now once per
+  // slot instead of once per session.
+  cfg.outage = std::make_shared<mw::channel::FaultSchedule>(
+      std::vector<mw::channel::FaultSchedule::Window>{{2.0, 4.0}, {9.0, 30.0}});
+  expect_recycled_slots_keep_parity(cfg);
 }

@@ -159,6 +159,16 @@ TEST(CrumbLog, OverwritesOldestAndSnapshotsInOrder) {
   for (int i = 0; i < 4; ++i) {
     EXPECT_EQ(kept[static_cast<std::size_t>(i)].aux, i + 2);  // oldest first
   }
+  // A recycled engine slot clears its ring: the wrapped history is gone and
+  // the next session starts underfilled, with the same storage.
+  log.clear();
+  log.push(obs::Event::kSessionStart, 9.0, 9);
+  EXPECT_EQ(log.recorded(), 1);
+  EXPECT_EQ(log.dropped(), 0);
+  EXPECT_EQ(log.capacity(), 4u);
+  const std::vector<fleet::Crumb> reused = log.snapshot();
+  ASSERT_EQ(reused.size(), 1u);
+  EXPECT_EQ(reused[0].aux, 9);
 }
 
 TEST(CrumbLog, UnderfilledSnapshotHasNoPadding) {
