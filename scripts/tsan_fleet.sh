@@ -42,11 +42,16 @@ MOBIWEB_FAST=1 "$BUILD/bench/bench_fleet" \
 MOBIWEB_FAST=1 "$BUILD/bench/bench_proxy" \
   --sessions=2000 --origin-duty=0.4 --warm=0.6 --duty=0.2 --json=/dev/null
 
-# Telemetry under TSan: per-shard TimeSeries writers, the per-session crumb
-# rings, the bounded tail-retention heaps and the post-run merge/materialize
-# all race across shards; the timeline document renders at the end.
+# Telemetry under TSan: per-shard TimeSeries writers and bounded
+# tail-retention heaps race across shards; after the merge the retained
+# sessions are replayed in parallel on the pool, each chunk with its own
+# scratch slot and its own traces, sharing the pinned cache documents. The
+# gave-up-heavy run retains about half the fleet, each session running every
+# round, so long replays overlap; the timeline document renders at the end.
 MOBIWEB_FAST=1 "$BUILD/bench/bench_fleet" \
   --sessions=5000 --duty=0.25 --timeline=/dev/null
+MOBIWEB_FAST=1 "$BUILD/bench/bench_fleet" \
+  --sessions=2000 --gamma=1.0 --alpha=0.85 --timeline=/dev/null
 MOBIWEB_FAST=1 "$BUILD/bench/bench_proxy" \
   --sessions=2000 --origin-duty=0.4 --warm=0.6 --duty=0.2 --timeline=/dev/null
 

@@ -26,11 +26,11 @@ struct ProxyState {
 static_assert(sizeof(ProxyState) <= 160, "ProxyState grew: it is per slot");
 
 // One in-flight session's state, held in a recycled shard slot (see the
-// admission loop in FleetEngine::run). The heap parts (outage clones, proxy
-// state, crumb ring) live as long as the slot and are reset, not rebuilt, for
-// each session it serves. The per-frame work is one Bernoulli draw plus
-// bitmap arithmetic — no per-session byte copies (cooked frames are shared
-// read-only out of the DocumentCache).
+// admission loop in FleetEngine::run) or in a trace-replay chunk's scratch
+// slot (which walks from the candidate's document and leaves `doc` unset). The heap parts (outage clones, proxy state) live as long as the slot
+// and are reset, not rebuilt, for each session it serves. The per-frame work
+// is one Bernoulli draw plus bitmap arithmetic — no per-session byte copies
+// (cooked frames are shared read-only out of the DocumentCache).
 struct Session {
   Rng rng{0};  // corruption draws
   // shared_ptr, not a raw pointer: with a bounded DocumentCache the entry can
@@ -45,12 +45,8 @@ struct Session {
   std::unique_ptr<channel::OutageModel> outage;
   Rng outage_rng{0};
   std::unique_ptr<ProxyState> px;  // engaged only when FleetConfig::proxy set
-  // Breadcrumb span log; engaged only when FleetConfig::telemetry is set.
-  // Offered to the shard's TraceRetention (which copies it if kept) at
-  // finish, then cleared for the slot's next session.
-  std::unique_ptr<CrumbLog> crumbs;
 };
-static_assert(sizeof(Session) <= 264, "Session grew: it is per slot");
+static_assert(sizeof(Session) <= 256, "Session grew: it is per slot");
 
 // The walk's environment for one fleet session: every draw comes from the
 // session's own streams, and the link and origin from its OutageModel clones.
@@ -170,6 +166,15 @@ void validate(const FleetConfig& config) {
     sim::validate(config.retry);
   }
   if (config.proxy.has_value()) sim::validate(config.proxy->model);
+}
+
+// What a trace replay must reproduce exactly of its run's result: time,
+// packets, rounds and verdict.
+bool same_walk(const sim::TransferResult& a, const sim::TransferResult& b) {
+  return a.time == b.time && a.packets == b.packets && a.rounds == b.rounds &&
+         a.completed == b.completed &&
+         a.aborted_irrelevant == b.aborted_irrelevant &&
+         a.gave_up == b.gave_up && a.degraded == b.degraded;
 }
 
 std::uint64_t salted_session_seed(std::uint64_t fleet_seed, std::uint64_t salt,
@@ -349,6 +354,47 @@ FleetResult FleetEngine::run(ThreadPool* pool) {
     policy.retry = &config_.retry;
   }
   if (proxied) policy.proxy = &config_.proxy->model;
+  // A session's walk plan: the fleet-wide policy over its document.
+  const auto plan_for = [&](const CookedDocument& doc) {
+    sim::WalkPlan plan = policy;
+    plan.clear_content = doc.clear_content.data();
+    plan.total_content = doc.total_content;
+    plan.m = static_cast<int>(doc.transmitter.m());
+    plan.n = static_cast<int>(doc.transmitter.n());
+    plan.time_per_frame =
+        static_cast<double>(doc.frame_size) * 8.0 / config_.bandwidth_bps;
+    return plan;
+  };
+  // Readies `s` to walk session i from `start`: every stream reseeded from
+  // (seed, i), the heap parts allocated with the slot and reset for each
+  // session (a reset() clone is what session_clone() returns). The document
+  // is the caller's to set. Admission and the trace replay share this, so a
+  // replay cannot drift from the run.
+  const auto prepare = [&](Session& s, std::size_t i, double start) {
+    s.rng.reseed(session_seed(config_.seed, i));
+    s.start = start;
+    s.walk = {};
+    s.walk.begin(start, policy, session_jitter_seed(config_.seed, i));
+    if (config_.outage != nullptr) {
+      if (s.outage == nullptr) s.outage = config_.outage->clone();
+      s.outage->reset();
+      s.outage_rng.reseed(session_outage_seed(config_.seed, i));
+    }
+    if (proxied) {
+      if (s.px == nullptr) {
+        s.px = std::make_unique<ProxyState>();
+        if (config_.proxy->origin_outage != nullptr) {
+          s.px->origin = config_.proxy->origin_outage->clone();
+        }
+      }
+      s.px->edge = sim::EdgeState{};
+      s.px->edge.proxy_rng.reseed(session_proxy_seed(config_.seed, i));
+      if (s.px->origin != nullptr) {
+        s.px->origin->reset();
+        s.px->origin_rng.reseed(session_origin_seed(config_.seed, i));
+      }
+    }
+  };
   const bool telem = config_.telemetry.has_value();
   const FleetTelemetryConfig tc =
       config_.telemetry.value_or(FleetTelemetryConfig{});
@@ -388,39 +434,9 @@ FleetResult FleetEngine::run(ThreadPool* pool) {
         free_slots.pop_back();
       }
       Session& s = slots[slot];
-      s.rng.reseed(session_seed(config_.seed, i));
+      prepare(s, i, start);
       s.doc = cache_.get(key_of(i));  // pins the document across evictions
-      s.start = start;
-      s.walk = {};
-      s.walk.begin(start, policy, session_jitter_seed(config_.seed, i));
-      // The heap parts are allocated with the slot and reset for every
-      // session; a reset() clone is what session_clone() returns.
-      if (config_.outage != nullptr) {
-        if (s.outage == nullptr) s.outage = config_.outage->clone();
-        s.outage->reset();
-        s.outage_rng.reseed(session_outage_seed(config_.seed, i));
-      }
-      if (proxied) {
-        if (s.px == nullptr) {
-          s.px = std::make_unique<ProxyState>();
-          if (config_.proxy->origin_outage != nullptr) {
-            s.px->origin = config_.proxy->origin_outage->clone();
-          }
-        }
-        s.px->edge = sim::EdgeState{};
-        s.px->edge.proxy_rng.reseed(session_proxy_seed(config_.seed, i));
-        if (s.px->origin != nullptr) {
-          s.px->origin->reset();
-          s.px->origin_rng.reseed(session_origin_seed(config_.seed, i));
-        }
-      }
-      if (ts != nullptr) {
-        if (s.crumbs == nullptr) {
-          s.crumbs = std::make_unique<CrumbLog>(tc.crumb_capacity);
-        }
-        s.crumbs->clear();
-        ts->add(obs::Channel::kSessionsStarted, start);
-      }
+      if (ts != nullptr) ts->add(obs::Channel::kSessionsStarted, start);
       return slot;
     };
 
@@ -450,7 +466,7 @@ FleetResult FleetEngine::run(ThreadPool* pool) {
         pstats = s.px->edge.stats;
         sum.proxy += session_totals(pstats);
       }
-      if (ts != nullptr) tot.retention.offer(index, s.start, r, *s.crumbs);
+      if (ts != nullptr) tot.retention.offer(index, s.start, r, s.doc);
       if (session_time != nullptr) {
         session_time->observe(r.time);
         session_time_by[static_cast<int>(s.walk.end)]->observe(r.time);
@@ -488,16 +504,9 @@ FleetResult FleetEngine::run(ThreadPool* pool) {
         heap.pop();
       }
       Session& s = slots[ev.slot];
-      const CookedDocument& doc = *s.doc;
-      sim::WalkPlan plan = policy;
-      plan.clear_content = doc.clear_content.data();
-      plan.total_content = doc.total_content;
-      plan.m = static_cast<int>(doc.transmitter.m());
-      plan.n = static_cast<int>(doc.transmitter.n());
-      plan.time_per_frame =
-          static_cast<double>(doc.frame_size) * 8.0 / config_.bandwidth_bps;
+      const sim::WalkPlan plan = plan_for(*s.doc);
       SessionEnv env{s, config_.alpha};
-      TelemetryObserver observer{{}, ts, s.crumbs.get()};
+      TelemetryObserver observer{{}, ts};
       s.walk.step_round(plan, env, observer);
       if (s.walk.done()) {
         finish(ev.index, s, plan);
@@ -543,12 +552,36 @@ FleetResult FleetEngine::run(ThreadPool* pool) {
       result.timeseries.merge(tot.sums.timeseries);
     }
 
+    // Trace retention by replay: each kept session walks again from its
+    // (seed, i) streams, observed into its trace. Strided chunks on the pool,
+    // each with one scratch slot, each writing only its own traces.
+    MOBIWEB_PROFILE_SCOPE("fleet.trace_replay");
     std::vector<TraceRetention> retentions;
     for (ShardTotals& tot : totals) {
       retentions.push_back(std::move(tot.retention));
     }
-    result.traces =
-        retained_traces(std::move(retentions), tail_target, tc.flight);
+    const std::vector<TraceCandidate> kept =
+        select_retained(std::move(retentions), tail_target);
+    result.traces.resize(kept.size());
+    const std::size_t chunks = std::min(kept.size(), shards);
+    pool->run(chunks, [&](std::size_t chunk) {
+      Session s;
+      for (std::size_t k = chunk; k < kept.size(); k += chunks) {
+        const TraceCandidate& c = kept[k];
+        RetainedTrace& rt = result.traces[k];
+        rt = start_retained_trace(c);
+        prepare(s, c.session, c.start);
+        const sim::WalkPlan plan = plan_for(*c.doc);
+        SessionEnv env{s, config_.alpha};
+        RetainedTraceObserver observer{{}, rt.trace};
+        while (!s.walk.done()) s.walk.step_round(plan, env, observer);
+        const sim::TransferResult r = s.walk.result(plan);
+        MOBIWEB_CHECK_MSG(same_walk(r, c.result),
+                          "FleetEngine: a trace replay diverged from its run");
+        rt.trace.session_end(c.start + c.result.time, c.result.content);
+      }
+    });
+    if (tc.flight != nullptr) dump_failed_traces(result.traces, *tc.flight);
   }
   if (config_.tail_stats) {
     // summarize_tails sorts, so the outcome depends only on the multiset of

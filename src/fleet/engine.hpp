@@ -84,15 +84,14 @@ struct FleetTelemetryConfig {
   double bucket_width_s = 1.0;      // simulated seconds per bucket
   std::size_t max_buckets = 4096;   // adds past the window clamp into the last
   // After the run, the slowest ceil(trace_top_fraction * sessions) sessions
-  // plus every degraded / gave-up session are materialized into full traces
-  // (FleetResult::traces). In flight, a session carries only its slot's
-  // fixed breadcrumb ring, copied out at the end only if retention keeps it.
+  // plus every degraded / gave-up session are replayed from their (seed, i)
+  // streams into full traces (FleetResult::traces). In flight, a session
+  // records no history; a retention candidate is its verdict and document.
   double trace_top_fraction = 0.01;
-  std::size_t crumb_capacity = 32;  // per-session breadcrumb ring entries
   double slo_tolerance = 0.5;       // relative drift allowed by the SLO gate
   // Optional postmortem sink: every retained degraded / gave-up trace is
-  // replayed into this recorder and dumped through its sink after the run
-  // (post-merge, single-threaded — the recorder itself is not thread-safe).
+  // fed into this recorder and dumped through its sink after the replay
+  // (single-threaded, in session order — the recorder is not thread-safe).
   obs::FlightRecorder* flight = nullptr;
 };
 

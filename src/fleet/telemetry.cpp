@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <iterator>
 #include <limits>
-#include <numeric>
 
 #include "fleet/engine.hpp"
 #include "obs/export.hpp"
@@ -12,111 +12,18 @@
 
 namespace mobiweb::fleet {
 
-namespace {
-
-static_assert(kMaxCookedPackets < 1024,
-              "CrumbLog::push_round_close packs round tallies 10 bits apiece");
-
-// Crumbs pushed through CrumbLog::push_round_close.
-bool is_round_close(obs::Event type) {
-  return type == obs::Event::kRoundEnd || type == obs::Event::kDecodeComplete ||
-         type == obs::Event::kAbortIrrelevant || type == obs::Event::kGiveUp ||
-         type == obs::Event::kDegraded;
-}
-
-}  // namespace
-
-std::vector<Crumb> CrumbLog::snapshot() const {
-  std::vector<Crumb> out;
-  const std::size_t cap = ring_.size();
-  const std::size_t kept =
-      recorded_ < static_cast<long>(cap) ? static_cast<std::size_t>(recorded_)
-                                         : cap;
-  out.reserve(kept);
-  // Oldest retained crumb sits at next_ once the ring has wrapped.
-  const std::size_t begin =
-      recorded_ < static_cast<long>(cap) ? 0 : next_;
-  for (std::size_t i = 0; i < kept; ++i) {
-    out.push_back(ring_[(begin + i) % cap]);
+void RetainedTraceObserver::end(sim::WalkEnd how, double t, double received,
+                                sim::RoundTally open) {
+  add_frames(open);
+  switch (how) {
+    case sim::WalkEnd::kCompleted: trace.decode_complete(t); break;
+    case sim::WalkEnd::kAbortedIrrelevant:
+      trace.abort_irrelevant(t, received);
+      break;
+    case sim::WalkEnd::kGaveUp: trace.give_up(t); break;
+    case sim::WalkEnd::kDegraded: trace.degraded(t, received); break;
+    case sim::WalkEnd::kRunning: break;
   }
-  return out;
-}
-
-void TelemetryObserver::end(sim::WalkEnd how, double t, double received,
-                            sim::RoundTally open) {
-  if (ts == nullptr) return;
-  // The verdict crumb of each WalkEnd verdict, in enum order.
-  constexpr obs::Event kVerdict[sim::kWalkVerdicts] = {
-      obs::Event::kDecodeComplete, obs::Event::kAbortIrrelevant,
-      obs::Event::kGiveUp, obs::Event::kDegraded};
-  ts->add(obs::Channel::kSessionsEnded, t);
-  if (how == sim::WalkEnd::kGaveUp || how == sim::WalkEnd::kDegraded) {
-    ts->add(obs::Channel::kSessionsFailed, t);
-  }
-  crumbs->push_round_close(kVerdict[static_cast<int>(how)], t, received, open);
-}
-
-obs::SessionTrace materialize_trace(const std::string& label, double start_s,
-                                    const sim::TransferResult& result,
-                                    const CrumbLog& crumbs) {
-  obs::SessionTrace trace(label);
-  trace.capture_events(true);
-  trace.session_start(start_s);
-  for (const Crumb& c : crumbs.snapshot()) {
-    if (is_round_close(c.type)) {
-      const sim::RoundTally t = c.tally();
-      trace.round_frames(t.sent, t.intact, t.corrupted, t.duplicate, t.lost);
-    }
-    switch (c.type) {
-      case obs::Event::kRoundStart:
-        trace.round_start(c.aux, c.time);
-        break;
-      case obs::Event::kRoundEnd:
-        trace.round_end(c.time, c.value);
-        break;
-      case obs::Event::kOutageBegin:
-        trace.outage_begin(c.time);
-        break;
-      case obs::Event::kOutageEnd:
-        trace.outage_end(c.time, c.value);
-        trace.resume(c.time);
-        break;
-      case obs::Event::kOriginOutageBegin:
-        trace.origin_outage_begin(c.time);
-        break;
-      case obs::Event::kOriginOutageEnd:
-        trace.origin_outage_end(c.time, c.value);
-        break;
-      case obs::Event::kStaleFailover:
-        trace.stale_failover(c.time);
-        break;
-      case obs::Event::kHandoff:
-        trace.handoff(c.time, c.value);
-        break;
-      case obs::Event::kReconcileDrop:
-        trace.reconcile_drop(c.time, c.aux);
-        break;
-      case obs::Event::kDecodeComplete:
-        trace.decode_complete(c.time);
-        break;
-      case obs::Event::kAbortIrrelevant:
-        trace.abort_irrelevant(c.time, c.value);
-        break;
-      case obs::Event::kDegraded:
-        trace.degraded(c.time, c.value);
-        break;
-      case obs::Event::kGiveUp:
-        trace.give_up(c.time);
-        break;
-      default:
-        // Frame-level events are never recorded as crumbs; anything else
-        // (e.g. a kSessionStart from a future producer) is ignored so the
-        // replay stays total over arbitrary rings.
-        break;
-    }
-  }
-  trace.session_end(start_s + result.time, result.content);
-  return trace;
 }
 
 std::size_t trace_tail_target(double top_fraction, std::size_t sessions) {
@@ -128,97 +35,86 @@ std::size_t trace_tail_target(double top_fraction, std::size_t sessions) {
 
 void TraceRetention::offer(std::uint32_t session, double start,
                            const sim::TransferResult& result,
-                           const CrumbLog& crumbs) {
+                           const std::shared_ptr<const CookedDocument>& doc) {
   if (result.gave_up || result.degraded) {
-    failed_.push_back(Candidate{session, start, result, crumbs});
+    failed_.push_back(TraceCandidate{session, start, result, doc});
     return;
   }
   if (tail_target_ == 0) return;
   // "a ranks before b": slower first, index breaks ties. The heap keeps the
   // worst retained candidate at the front so it can be displaced.
-  const auto before = [](const Candidate& a, const Candidate& b) {
+  const auto before = [](const TraceCandidate& a, const TraceCandidate& b) {
     return ranks_before(a.result.time, a.session, b.result.time, b.session);
   };
   if (tail_.size() < tail_target_) {
-    tail_.push_back(Candidate{session, start, result, crumbs});
+    tail_.push_back(TraceCandidate{session, start, result, doc});
     std::push_heap(tail_.begin(), tail_.end(), before);
     return;
   }
-  const Candidate& worst = tail_.front();
+  const TraceCandidate& worst = tail_.front();
   if (ranks_before(result.time, session, worst.result.time, worst.session)) {
     std::pop_heap(tail_.begin(), tail_.end(), before);
-    Candidate& replaced = tail_.back();
-    replaced.session = session;
-    replaced.start = start;
-    replaced.result = result;
-    replaced.crumbs = crumbs;  // same capacity: reuses the displaced ring
+    tail_.back() = TraceCandidate{session, start, result, doc};
     std::push_heap(tail_.begin(), tail_.end(), before);
   }
 }
 
-std::vector<RetainedTrace> retained_traces(std::vector<TraceRetention> shards,
-                                           std::size_t tail_target,
-                                           obs::FlightRecorder* flight) {
+std::vector<TraceCandidate> select_retained(std::vector<TraceRetention> shards,
+                                            std::size_t tail_target) {
   // Global tail selection. Any global top-k non-failed session is within its
   // own shard's top k (its shard holds at most k-1 sessions ranking before
   // it), so gathering the per-shard heaps loses nothing. Failed sessions were
   // kept unconditionally. Sort by the total rank order and cut: the retained
   // set is exactly (global top-k) ∪ (failed), identical whatever the shard
   // count.
-  std::vector<TraceRetention::Candidate> candidates;
-  std::vector<char> is_failed;
+  std::vector<TraceCandidate> candidates;
   for (TraceRetention& shard : shards) {
-    for (TraceRetention::Candidate& c : shard.failed_) {
-      candidates.push_back(std::move(c));
-      is_failed.push_back(1);
-    }
-    for (TraceRetention::Candidate& c : shard.tail_) {
-      candidates.push_back(std::move(c));
-      is_failed.push_back(0);
+    for (std::vector<TraceCandidate>* kept : {&shard.failed_, &shard.tail_}) {
+      std::move(kept->begin(), kept->end(), std::back_inserter(candidates));
     }
   }
-  std::vector<std::size_t> order(candidates.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return ranks_before(candidates[a].result.time, candidates[a].session,
-                        candidates[b].result.time, candidates[b].session);
-  });
-  std::vector<RetainedTrace> traces;
+  std::sort(candidates.begin(), candidates.end(),
+            [](const TraceCandidate& a, const TraceCandidate& b) {
+              return ranks_before(a.result.time, a.session, b.result.time,
+                                  b.session);
+            });
+  std::vector<TraceCandidate> retained;
   std::size_t tail_kept = 0;
-  for (const std::size_t idx : order) {
-    const bool failed = is_failed[idx] != 0;
+  for (TraceCandidate& c : candidates) {
     const bool in_tail = tail_kept < tail_target;
-    if (!failed && !in_tail) continue;
+    if (!c.failed() && !in_tail) continue;
     if (in_tail) ++tail_kept;  // failed sessions occupy tail slots too
-    const TraceRetention::Candidate& c = candidates[idx];
-    std::string label = "session " + std::to_string(c.session);
-    if (c.result.degraded) label += " [degraded]";
-    else if (c.result.gave_up) label += " [gave_up]";
-    else if (c.result.aborted_irrelevant) label += " [aborted]";
-    traces.push_back(RetainedTrace{
-        c.session, c.result.time, failed,
-        materialize_trace(label, c.start, c.result, c.crumbs),
-        c.crumbs.dropped()});
+    retained.push_back(std::move(c));
   }
   // Stable presentation order: by session index, whatever rank order the cut
   // visited them in.
-  std::sort(traces.begin(), traces.end(),
-            [](const RetainedTrace& a, const RetainedTrace& b) {
+  std::sort(retained.begin(), retained.end(),
+            [](const TraceCandidate& a, const TraceCandidate& b) {
               return a.session < b.session;
             });
-  if (flight != nullptr) {
-    for (const RetainedTrace& rt : traces) {
-      if (!rt.failed) continue;
-      flight->clear();
-      bool gave_up = false;
-      for (const obs::TraceEvent& e : rt.trace.events()) {
-        flight->record(e);
-        if (e.type == obs::Event::kGiveUp) gave_up = true;
-      }
-      flight->dump(gave_up ? "fleet.gave_up" : "fleet.degraded");
-    }
+  return retained;
+}
+
+RetainedTrace start_retained_trace(const TraceCandidate& c) {
+  std::string label = "session " + std::to_string(c.session);
+  if (c.result.degraded) label += " [degraded]";
+  else if (c.result.gave_up) label += " [gave_up]";
+  else if (c.result.aborted_irrelevant) label += " [aborted]";
+  RetainedTrace rt{c.session, c.result.time, c.failed(),
+                   obs::SessionTrace(std::move(label))};
+  rt.trace.capture_events(true);
+  rt.trace.session_start(c.start);
+  return rt;
+}
+
+void dump_failed_traces(const std::vector<RetainedTrace>& traces,
+                        obs::FlightRecorder& flight) {
+  for (const RetainedTrace& rt : traces) {
+    if (!rt.failed) continue;
+    flight.clear();
+    for (const obs::TraceEvent& e : rt.trace.events()) flight.record(e);
+    flight.dump(rt.trace.gave_up() ? "fleet.gave_up" : "fleet.degraded");
   }
-  return traces;
 }
 
 namespace {

@@ -120,10 +120,11 @@ class SessionTrace {
   void frame_lost(double time);
   void retransmit_request(double time, long pending = -1);
   // content >= 0 also records the round's closing information content (the
-  // real stack reaches it through frame_intact; replayed breadcrumbs don't).
+  // real stack reaches it through frame_intact; a tally-only round doesn't).
   void round_end(double time, double content = -1.0);
   // Adds frame counts to the open round (no-op before any round) without
-  // per-frame events: a round replayed from a tally (fleet breadcrumbs).
+  // per-frame events: a round recorded from its tally (the fleet's retained
+  // trace replay).
   void round_frames(long sent, long intact, long corrupted, long duplicate,
                     long lost);
   void outage_begin(double time);

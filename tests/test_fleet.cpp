@@ -1260,7 +1260,7 @@ namespace {
 // A proxied fleet with link fades, origin fades and telemetry whose arrivals
 // are spread so thin that each shard slot serves several sessions in turn;
 // every session must still match the proxied oracle, and every retained
-// trace must hold only its own session's crumbs.
+// trace must hold its own session's whole history and nothing else.
 void expect_recycled_slots_keep_parity(fleet::FleetConfig cfg) {
   cfg.telemetry.emplace();
   cfg.telemetry->trace_top_fraction = 0.05;
@@ -1281,10 +1281,8 @@ void expect_recycled_slots_keep_parity(fleet::FleetConfig cfg) {
     for (const mw::obs::TraceEvent& e : rt.trace.events()) {
       EXPECT_GE(e.time, out.start_s) << "session " << rt.session;
     }
-    if (rt.crumbs_dropped == 0) {
-      EXPECT_EQ(static_cast<int>(rt.trace.rounds().size()), out.result.rounds)
-          << "session " << rt.session;
-    }
+    EXPECT_EQ(static_cast<int>(rt.trace.rounds().size()), out.result.rounds)
+        << "session " << rt.session;
   }
 }
 

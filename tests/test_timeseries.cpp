@@ -1,10 +1,10 @@
-// Fleet telemetry: TimeSeries bucketing/clamping/merge algebra, the
-// per-session breadcrumb ring, tail-based trace retention (exact top-k plus
-// every failure, bounded, deterministic under ties), shard-count
-// bit-invariance of the whole exported timeline document, the
-// FlightRecorder postmortem wiring for degraded / gave-up sessions, and
-// materialized traces that agree with the oracle's trace of the same session
-// (per-round frame tallies included).
+// Fleet telemetry: TimeSeries bucketing/clamping/merge algebra, tail-based
+// trace retention (exact top-k plus every failure, bounded, deterministic
+// under ties), shard-count bit-invariance of the whole exported timeline
+// document, the FlightRecorder postmortem wiring for degraded / gave-up
+// sessions, and replayed traces that hold each session's whole history and
+// agree with the oracle's trace of the same session (per-round frame tallies
+// included).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +12,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "channel/outage.hpp"
@@ -145,43 +146,6 @@ TEST(TimeSeries, ChannelNamesAreDistinctSnakeCase) {
   EXPECT_EQ(names.size(), obs::kChannelCount);
 }
 
-// ---- CrumbLog -------------------------------------------------------------
-
-TEST(CrumbLog, OverwritesOldestAndSnapshotsInOrder) {
-  fleet::CrumbLog log(4);
-  for (int i = 0; i < 6; ++i) {
-    log.push(obs::Event::kRoundEnd, static_cast<double>(i), i);
-  }
-  EXPECT_EQ(log.recorded(), 6);
-  EXPECT_EQ(log.dropped(), 2);
-  const std::vector<fleet::Crumb> kept = log.snapshot();
-  ASSERT_EQ(kept.size(), 4u);
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(kept[static_cast<std::size_t>(i)].aux, i + 2);  // oldest first
-  }
-  // A recycled engine slot clears its ring: the wrapped history is gone and
-  // the next session starts underfilled, with the same storage.
-  log.clear();
-  log.push(obs::Event::kSessionStart, 9.0, 9);
-  EXPECT_EQ(log.recorded(), 1);
-  EXPECT_EQ(log.dropped(), 0);
-  EXPECT_EQ(log.capacity(), 4u);
-  const std::vector<fleet::Crumb> reused = log.snapshot();
-  ASSERT_EQ(reused.size(), 1u);
-  EXPECT_EQ(reused[0].aux, 9);
-}
-
-TEST(CrumbLog, UnderfilledSnapshotHasNoPadding) {
-  fleet::CrumbLog log(8);
-  log.push(obs::Event::kSessionStart, 0.0);
-  log.push(obs::Event::kDecodeComplete, 1.0);
-  EXPECT_EQ(log.dropped(), 0);
-  const std::vector<fleet::Crumb> kept = log.snapshot();
-  ASSERT_EQ(kept.size(), 2u);
-  EXPECT_EQ(kept[0].type, obs::Event::kSessionStart);
-  EXPECT_EQ(kept[1].type, obs::Event::kDecodeComplete);
-}
-
 // ---- Timeline document shard invariance -----------------------------------
 
 TEST(FleetTelemetry, TimelineDocumentBitIdenticalAcrossShardCounts) {
@@ -290,17 +254,25 @@ TEST(FleetTelemetry, RetentionKeepsEveryFailureAndTheExactSlowestTail) {
   }
 }
 
-TEST(FleetTelemetry, MaterializedTracesCarryTheTerminalVerdict) {
-  fleet::FleetConfig cfg = lossy_config(200);
+namespace {
+
+// Checks every retained trace of a 2-shard run of `cfg` against its session's
+// result: verdict, label, and the whole round history, whose per-round frame
+// tallies must sum to the session's packets and lost frames. Returns the
+// retained traces whose session lost frames and those that ran max_rounds.
+std::pair<int, int> expect_traces_carry_the_terminal_verdict(
+    fleet::FleetConfig cfg) {
   cfg.record_outcomes = true;
   const fleet::FleetResult r = run_with_shards(cfg, 2);
-  ASSERT_GT(r.traces.size(), 0u);
+  EXPECT_GT(r.traces.size(), 0u);
   int lossy_sessions = 0;
+  int full_length_sessions = 0;
   for (const fleet::RetainedTrace& rt : r.traces) {
     const obs::SessionTrace& t = rt.trace;
     EXPECT_EQ(rt.failed, t.degraded() || t.gave_up());
     EXPECT_GE(t.end_time(), t.start_time());
-    ASSERT_FALSE(t.events().empty());
+    EXPECT_FALSE(t.events().empty());
+    if (t.events().empty()) continue;
     EXPECT_EQ(t.events().front().type, obs::Event::kSessionStart);
     EXPECT_EQ(t.events().back().type, obs::Event::kSessionEnd);
     EXPECT_NE(t.label().find("session " + std::to_string(rt.session)),
@@ -317,14 +289,33 @@ TEST(FleetTelemetry, MaterializedTracesCarryTheTerminalVerdict) {
       sent += round.frames_sent;
       lost += round.frames_lost;
     }
-    if (rt.crumbs_dropped == 0) {
-      EXPECT_EQ(static_cast<int>(t.rounds().size()), result.rounds);
-      EXPECT_EQ(sent, result.packets);
-      EXPECT_EQ(lost, result.frames_lost);
-      if (result.frames_lost > 0) ++lossy_sessions;
-    }
+    EXPECT_EQ(static_cast<int>(t.rounds().size()), result.rounds)
+        << "session " << rt.session;
+    EXPECT_EQ(sent, result.packets) << "session " << rt.session;
+    EXPECT_EQ(lost, result.frames_lost) << "session " << rt.session;
+    if (result.frames_lost > 0) ++lossy_sessions;
+    if (result.rounds == cfg.max_rounds) ++full_length_sessions;
   }
-  EXPECT_GT(lossy_sessions, 0) << "config must retain sessions that lost frames";
+  return {lossy_sessions, full_length_sessions};
+}
+
+}  // namespace
+
+TEST(FleetTelemetry, MaterializedTracesCarryTheTerminalVerdict) {
+  EXPECT_GT(expect_traces_carry_the_terminal_verdict(lossy_config(200)).first,
+            0)
+      << "config must retain sessions that lost frames";
+
+  // A gave-up-heavy fleet: no redundancy and most frames corrupted, so most
+  // sessions run all max_rounds rounds. Their traces must still hold every
+  // round, not just the latest.
+  fleet::FleetConfig gave_up = lossy_config(200);
+  gave_up.outage.reset();
+  gave_up.gammas = {1.0};
+  gave_up.alpha = 0.85;
+  gave_up.max_rounds = 25;
+  EXPECT_GT(expect_traces_carry_the_terminal_verdict(gave_up).second, 0)
+      << "config must retain sessions that ran every round";
 }
 
 // ---- FlightRecorder postmortem wiring -------------------------------------
@@ -371,8 +362,8 @@ TEST(FleetTelemetry, TelemetryNeverAltersSessionResults) {
 // ---- Fleet trace vs oracle trace --------------------------------------------
 
 TEST(FleetTelemetry, RetainedProxiedTraceMatchesTheOracleTrace) {
-  // A degraded proxied session's materialized trace, replayed from its
-  // breadcrumbs, must tell the same story as the oracle's full trace of the
+  // A degraded proxied session's retained trace, replayed by the fleet after
+  // the run, must tell the same story as the oracle's full trace of the
   // same session: the same cross-tier events and the same per-round frame
   // tallies (times differ only by the session's start offset).
   fleet::FleetConfig cfg = lossy_config(300);
@@ -395,7 +386,7 @@ TEST(FleetTelemetry, RetainedProxiedTraceMatchesTheOracleTrace) {
   long outages = 0, origin_outages = 0, handoffs = 0, stale = 0, dropped = 0;
   for (const fleet::RetainedTrace& rt : r.traces) {
     const fleet::SessionOutcome& out = r.outcomes[rt.session];
-    if (!out.result.degraded || rt.crumbs_dropped != 0) continue;
+    if (!out.result.degraded) continue;
 
     const auto cooked = engine.cache().get(out.key);
     mw::sim::ProxiedTransferConfig pc;
