@@ -10,7 +10,6 @@
 //   p50/p99         session-time tails on the simulated clock (exact order
 //                   statistics; --json adds p95/p999/mean and a Student-t CI)
 //   completed/gave_up and cache hit/miss accounting
-//   peak live       (--json only) sessions the shards held in flight at once
 //
 // Flags: --sessions=N (single scale instead of the sweep), --million (adds an
 // opt-in 1M-session scale), --shards=S, --gamma=G, --alpha=A, --corpus=D,
@@ -136,10 +135,6 @@ int emit_json(int argc, char** argv, const std::string& path) {
     report.metric(key + ".makespan", r.makespan_s);
     report.metric(key + ".cache_hit_count", static_cast<double>(r.cache_hits));
     report.metric(key + ".cache_miss_count", static_cast<double>(r.cache_misses));
-    // Σ per-shard peak of sessions in flight: what the engine's live state
-    // scales with. Fixed for a (seed, shards) pair; varies with --shards.
-    report.metric(key + ".peak_live_sessions",
-                  static_cast<double>(r.peak_live_sessions));
     // Session-time distribution on the simulated clock (deterministic for a
     // fixed seed). The _p50/_p95/_p99/_p999/_mean suffixes strip back to
     // *_s, so bench_diff.py gates them lower-is-better — a p99 regression

@@ -45,7 +45,7 @@ MOBIWEB_FAST=1 "$BUILD/bench/bench_proxy" \
 # Telemetry under TSan: per-shard TimeSeries writers and bounded
 # tail-retention heaps race across shards; after the merge the retained
 # sessions are replayed in parallel on the pool, each chunk with its own
-# scratch slot and its own traces, sharing the pinned cache documents. The
+# scratch Session and its own traces, sharing the pinned cache documents. The
 # gave-up-heavy run retains about half the fleet, each session running every
 # round, so long replays overlap; the timeline document renders at the end.
 MOBIWEB_FAST=1 "$BUILD/bench/bench_fleet" \

@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <bitset>
 #include <chrono>
-#include <deque>
 #include <cmath>
 #include <limits>
 #include <numeric>
-#include <queue>
 
 #include "obs/profile.hpp"
 #include "util/check.hpp"
@@ -16,28 +14,21 @@ namespace mobiweb::fleet {
 
 namespace {
 
-// Edge-tier per-session state; allocated only when FleetConfig::proxy is set
-// so non-proxied fleets pay one pointer per slot, not this.
+// Edge-tier per-session state; engaged only when FleetConfig::proxy is set.
 struct ProxyState {
   sim::EdgeState edge;
   std::unique_ptr<channel::OutageModel> origin;  // nullptr = origin always up
   Rng origin_rng{0};
 };
-static_assert(sizeof(ProxyState) <= 160, "ProxyState grew: it is per slot");
 
-// One in-flight session's state, held in a recycled shard slot (see the
-// admission loop in FleetEngine::run) or in a trace-replay chunk's scratch
-// slot (which walks from the candidate's document and leaves `doc` unset). The heap parts (outage clones, proxy state) live as long as the slot
-// and are reset, not rebuilt, for each session it serves. The per-frame work
-// is one Bernoulli draw plus bitmap arithmetic — no per-session byte copies
-// (cooked frames are shared read-only out of the DocumentCache).
+// The state of the session being walked: one per shard, or per trace-replay
+// chunk, readied afresh for each session it walks. The heap parts (outage
+// clones, proxy state) live as long as the Session and are reset, not
+// rebuilt, for each session. The per-frame work is one Bernoulli draw plus
+// bitmap arithmetic — no per-session byte copies (cooked frames are shared
+// read-only out of the DocumentCache).
 struct Session {
   Rng rng{0};  // corruption draws
-  // shared_ptr, not a raw pointer: with a bounded DocumentCache the entry can
-  // be evicted mid-run, and the session must keep its document alive. Released
-  // when the session ends.
-  std::shared_ptr<const CookedDocument> doc;
-  double start = 0.0;
   // DocumentCache::build enforces n = ceil(gamma*m) <= kMaxCookedPackets at
   // cook time, so the inline receipt set holds every index a session sees.
   sim::SessionWalk<std::bitset<kMaxCookedPackets>> walk;
@@ -46,7 +37,6 @@ struct Session {
   Rng outage_rng{0};
   std::unique_ptr<ProxyState> px;  // engaged only when FleetConfig::proxy set
 };
-static_assert(sizeof(Session) <= 256, "Session grew: it is per slot");
 
 // The walk's environment for one fleet session: every draw comes from the
 // session's own streams, and the link and origin from its OutageModel clones.
@@ -65,20 +55,6 @@ struct SessionEnv {
   }
   sim::EdgeState* edge() { return s.px != nullptr ? &s.px->edge : nullptr; }
 };
-
-// Min-heap event: next round of session `index`, held in shard slot `slot`,
-// fires at time `t`. Ties break on the session index so processing order is
-// deterministic; the slot rides in what would be padding.
-struct Event {
-  double t = 0.0;
-  std::uint32_t index = 0;
-  std::uint32_t slot = 0;
-  friend bool operator>(const Event& a, const Event& b) {
-    if (a.t != b.t) return a.t > b.t;
-    return a.index > b.index;
-  }
-};
-static_assert(sizeof(Event) == 16, "Event grew: the heap holds one per slot");
 
 // One shard's share of the run: the FleetResult sums over its sessions
 // (with telemetry, `sums.timeseries` is its time buckets), their transfer
@@ -147,7 +123,8 @@ FleetProxyTotals session_totals(const sim::ProxyStats& p) {
 // The fleet's own fields plus the retry and proxy-model configs the walk
 // will use.
 void validate(const FleetConfig& config) {
-  // Event, SessionOutcome and RetainedTrace carry 32-bit session indices.
+  // SessionOutcome, TraceCandidate and RetainedTrace carry 32-bit session
+  // indices.
   MOBIWEB_CHECK_MSG(config.sessions <= std::numeric_limits<std::uint32_t>::max(),
                     "FleetConfig: sessions fit a 32-bit session index");
   MOBIWEB_CHECK_MSG(!config.gammas.empty(), "FleetConfig: no gammas");
@@ -158,7 +135,8 @@ void validate(const FleetConfig& config) {
   MOBIWEB_CHECK_MSG(config.zipf_s >= 0.0, "FleetConfig: zipf_s >= 0");
   MOBIWEB_CHECK_MSG(config.arrival_rate_hz >= 0.0,
                     "FleetConfig: arrival_rate_hz >= 0");
-  // Admission walks sessions in index order, so starts must not decrease.
+  // A start before t = 0 has no time bucket: TimeSeries::add would file it
+  // silently into bucket 0.
   MOBIWEB_CHECK_MSG(std::isfinite(config.arrival_spread_s) &&
                         config.arrival_spread_s >= 0.0,
                     "FleetConfig: arrival_spread_s finite and >= 0");
@@ -280,9 +258,7 @@ FleetResult FleetEngine::run(ThreadPool* pool) {
   // Poisson arrivals: precompute every start serially from the fleet-wide
   // arrival stream (session 0 at t = 0, exponential inter-arrival gaps), so
   // starts are identical whatever the shard count. Rate 0 keeps the uniform
-  // stagger over [0, arrival_spread_s). Either way start_of(i) is
-  // non-decreasing in i, which lets each shard admit its sessions in index
-  // order.
+  // stagger over [0, arrival_spread_s).
   std::vector<double> poisson_starts;
   if (config_.arrival_rate_hz > 0.0) {
     poisson_starts.reserve(sessions);
@@ -341,8 +317,8 @@ FleetResult FleetEngine::run(ThreadPool* pool) {
   if (config_.record_outcomes) result.outcomes.resize(sessions);
   const std::size_t per_shard = (sessions + shards - 1) / shards;
   const bool proxied = config_.proxy.has_value();
-  // The fleet-wide part of every session's walk plan; each event fills in
-  // its session's document.
+  // The fleet-wide part of every session's walk plan; each session fills in
+  // its document.
   sim::WalkPlan policy;
   policy.request_delay = config_.request_delay;
   policy.relevance_threshold = config_.relevance_threshold;
@@ -354,8 +330,13 @@ FleetResult FleetEngine::run(ThreadPool* pool) {
     policy.retry = &config_.retry;
   }
   if (proxied) policy.proxy = &config_.proxy->model;
-  // A session's walk plan: the fleet-wide policy over its document.
-  const auto plan_for = [&](const CookedDocument& doc) {
+  // Walks session i from `start` over `doc` to its end in `s`, under the
+  // fleet-wide policy: every stream reseeded from (seed, i), the heap parts
+  // allocated with `s` and reset for each session (a reset() clone is what
+  // session_clone() returns). The shard loop and the trace replay both walk
+  // through this, so a replay cannot drift from the run.
+  const auto walk_session = [&](Session& s, std::size_t i, double start,
+                                const CookedDocument& doc, auto& observer) {
     sim::WalkPlan plan = policy;
     plan.clear_content = doc.clear_content.data();
     plan.total_content = doc.total_content;
@@ -363,18 +344,9 @@ FleetResult FleetEngine::run(ThreadPool* pool) {
     plan.n = static_cast<int>(doc.transmitter.n());
     plan.time_per_frame =
         static_cast<double>(doc.frame_size) * 8.0 / config_.bandwidth_bps;
-    return plan;
-  };
-  // Readies `s` to walk session i from `start`: every stream reseeded from
-  // (seed, i), the heap parts allocated with the slot and reset for each
-  // session (a reset() clone is what session_clone() returns). The document
-  // is the caller's to set. Admission and the trace replay share this, so a
-  // replay cannot drift from the run.
-  const auto prepare = [&](Session& s, std::size_t i, double start) {
     s.rng.reseed(session_seed(config_.seed, i));
-    s.start = start;
     s.walk = {};
-    s.walk.begin(start, policy, session_jitter_seed(config_.seed, i));
+    s.walk.begin(start, plan, session_jitter_seed(config_.seed, i));
     if (config_.outage != nullptr) {
       if (s.outage == nullptr) s.outage = config_.outage->clone();
       s.outage->reset();
@@ -394,6 +366,9 @@ FleetResult FleetEngine::run(ThreadPool* pool) {
         s.px->origin_rng.reseed(session_origin_seed(config_.seed, i));
       }
     }
+    SessionEnv env{s, config_.alpha};
+    while (!s.walk.done()) s.walk.step_round(plan, env, observer);
+    return s.walk.result(plan);
   };
   const bool telem = config_.telemetry.has_value();
   const FleetTelemetryConfig tc =
@@ -417,34 +392,17 @@ FleetResult FleetEngine::run(ThreadPool* pool) {
       tot.retention = TraceRetention(tail_target);
     }
 
-    // Slots of in-flight sessions, recycled through a free list: the table
-    // grows only when every slot is live, so its size is the shard's peak
-    // concurrency. A deque, so growing never moves (or briefly doubles) the
-    // live sessions.
-    std::deque<Session> slots;
-    std::vector<std::uint32_t> free_slots;
-    // Admits session i, starting at `start`, into a free or new slot.
-    const auto admit = [&](std::size_t i, double start) {
-      std::uint32_t slot = 0;
-      if (free_slots.empty()) {
-        slot = static_cast<std::uint32_t>(slots.size());
-        slots.emplace_back();
-      } else {
-        slot = free_slots.back();
-        free_slots.pop_back();
-      }
-      Session& s = slots[slot];
-      prepare(s, i, start);
-      s.doc = cache_.get(key_of(i));  // pins the document across evictions
+    // Sessions share no simulated state, so each runs to its end before the
+    // next starts, and the shard books them in index order.
+    Session s;
+    for (std::size_t i = lo; i < hi; ++i) {
+      const double start = start_of(i);
+      // Pins the document across evictions while the session walks.
+      const std::shared_ptr<const CookedDocument> doc = cache_.get(key_of(i));
       if (ts != nullptr) ts->add(obs::Channel::kSessionsStarted, start);
-      return slot;
-    };
+      TelemetryObserver observer{{}, ts};
+      const sim::TransferResult r = walk_session(s, i, start, *doc, observer);
 
-    // Books a finished session: shard totals, trace candidates, metrics and
-    // the optional per-session outcome.
-    const auto finish = [&](std::uint32_t index, Session& s,
-                            const sim::WalkPlan& plan) {
-      const sim::TransferResult r = s.walk.result(plan);
       FleetResult& sum = tot.sums;
       sum.completed += r.completed ? 1 : 0;
       sum.gave_up += r.gave_up ? 1 : 0;
@@ -455,67 +413,32 @@ FleetResult FleetEngine::run(ThreadPool* pool) {
       sum.rounds += r.rounds;
       sum.suspensions += r.suspensions;
       sum.bytes_sent +=
-          static_cast<unsigned long long>(r.packets) * s.doc->frame_size;
+          static_cast<unsigned long long>(r.packets) * doc->frame_size;
       sum.content += r.content;
       sum.session_time_s += r.time;
       if (config_.tail_stats) tot.times.push_back(r.time);
       sum.backoff_s += r.backoff_s;
-      sum.makespan_s = std::max(sum.makespan_s, s.start + r.time);
+      sum.makespan_s = std::max(sum.makespan_s, start + r.time);
       sim::ProxyStats pstats;
       if (s.px != nullptr) {
         pstats = s.px->edge.stats;
         sum.proxy += session_totals(pstats);
       }
-      if (ts != nullptr) tot.retention.offer(index, s.start, r, s.doc);
+      const auto index = static_cast<std::uint32_t>(i);
+      if (ts != nullptr) tot.retention.offer(index, start, r, doc);
       if (session_time != nullptr) {
         session_time->observe(r.time);
         session_time_by[static_cast<int>(s.walk.end)]->observe(r.time);
       }
       if (config_.record_outcomes) {
-        result.outcomes[index] = SessionOutcome{
-            index, key_of(index), s.start,
-            s.px != nullptr ? session_proxy_assignment(
-                                  config_.seed, index, policy.proxy->proxies)
-                            : 0,
+        result.outcomes[i] = SessionOutcome{
+            index, key_of(i), start,
+            proxied ? session_proxy_assignment(config_.seed, i,
+                                               policy.proxy->proxies)
+                    : 0,
             r, pstats};
       }
-      s.doc.reset();
-    };
-
-    // One event = one step of a session's walk, i.e. one transmission round.
-    // The next session to admit, (start_of(next), next), is the smallest
-    // event among the unadmitted ones, so merging it with the heap in
-    // (t, index) order fires events exactly as if every session had been
-    // pushed up front.
-    std::priority_queue<Event, std::vector<Event>, std::greater<Event>> heap;
-    const auto arrival_of = [&](std::size_t i) {
-      return Event{start_of(i), static_cast<std::uint32_t>(i)};
-    };
-    std::size_t next = lo;
-    Event arrival = arrival_of(next);
-    while (next < hi || !heap.empty()) {
-      Event ev;
-      if (next < hi && (heap.empty() || heap.top() > arrival)) {
-        ev = arrival;
-        ev.slot = admit(next, ev.t);
-        if (++next < hi) arrival = arrival_of(next);
-      } else {
-        ev = heap.top();
-        heap.pop();
-      }
-      Session& s = slots[ev.slot];
-      const sim::WalkPlan plan = plan_for(*s.doc);
-      SessionEnv env{s, config_.alpha};
-      TelemetryObserver observer{{}, ts};
-      s.walk.step_round(plan, env, observer);
-      if (s.walk.done()) {
-        finish(ev.index, s, plan);
-        free_slots.push_back(ev.slot);
-      } else {
-        heap.push(Event{s.walk.clock, ev.index, ev.slot});
-      }
     }
-    tot.sums.peak_live_sessions = slots.size();
   });
 
   // Merge in shard order: deterministic for a fixed shard count; integer
@@ -530,7 +453,6 @@ FleetResult FleetEngine::run(ThreadPool* pool) {
     result.backoff_s += sum.backoff_s;
     result.makespan_s = std::max(result.makespan_s, sum.makespan_s);
     result.proxy += sum.proxy;
-    result.peak_live_sessions += sum.peak_live_sessions;
   }
   if (config_.metrics != nullptr) {
     obs::MetricsRegistry& reg = *config_.metrics;
@@ -554,7 +476,7 @@ FleetResult FleetEngine::run(ThreadPool* pool) {
 
     // Trace retention by replay: each kept session walks again from its
     // (seed, i) streams, observed into its trace. Strided chunks on the pool,
-    // each with one scratch slot, each writing only its own traces.
+    // each with one scratch Session, each writing only its own traces.
     MOBIWEB_PROFILE_SCOPE("fleet.trace_replay");
     std::vector<TraceRetention> retentions;
     for (ShardTotals& tot : totals) {
@@ -570,14 +492,11 @@ FleetResult FleetEngine::run(ThreadPool* pool) {
         const TraceCandidate& c = kept[k];
         RetainedTrace& rt = result.traces[k];
         rt = start_retained_trace(c);
-        prepare(s, c.session, c.start);
-        const sim::WalkPlan plan = plan_for(*c.doc);
-        SessionEnv env{s, config_.alpha};
         RetainedTraceObserver observer{{}, rt.trace};
-        while (!s.walk.done()) s.walk.step_round(plan, env, observer);
-        const sim::TransferResult r = s.walk.result(plan);
-        MOBIWEB_CHECK_MSG(same_walk(r, c.result),
-                          "FleetEngine: a trace replay diverged from its run");
+        MOBIWEB_CHECK_MSG(
+            same_walk(walk_session(s, c.session, c.start, *c.doc, observer),
+                      c.result),
+            "FleetEngine: a trace replay diverged from its run");
         rt.trace.session_end(c.start + c.result.time, c.result.content);
       }
     });

@@ -4,30 +4,30 @@
 // The paper's evaluation simulates one client at a time; this engine answers
 // the server-scale question — what does a γ-redundant multicast/unicast mix
 // cost when tens of thousands of clients fetch from a shared corpus
-// concurrently? Sessions are partitioned into contiguous shards; each shard
-// runs on one ThreadPool worker and owns a time-ordered event heap plus a
-// table of slots for its in-flight sessions. A session is admitted into a
-// slot when the shard clock reaches its start (start times are non-decreasing
-// in the session index, so admission is a cursor merged with the heap) and
-// its slot is recycled when it ends: shard state scales with peak
-// concurrency, not with the session count (FleetResult::peak_live_sessions).
-// Cooked packets come from a shared read-only fleet::DocumentCache (encode
-// once per (document, γ), serve everyone).
+// concurrently? Sessions share no simulated state (each draws only from its
+// own (seed, i) streams), so concurrency on the simulated clock needs no
+// interleaving on the host: sessions are partitioned into contiguous shards,
+// each shard runs on one ThreadPool worker and walks its sessions one after
+// another, in index order, each to its end. Shard state is one session's,
+// whatever the session count or the overlap of their start times. Cooked
+// packets come from a shared read-only fleet::DocumentCache (encode once per
+// (document, γ), serve everyone).
 //
-// Each session embeds a sim::SessionWalk, the same resumable walk the
-// analytic oracles (sim::simulate_transfer and friends) run to termination,
-// so per-session results are bit-equal to the oracle run standalone with the
-// same per-session seeds (tests/test_fleet.cpp pins this). One event = one
-// step_round() = one transmission round (n frames). Fleet telemetry observes
-// the walk through fleet::TelemetryObserver.
+// Each session runs a sim::SessionWalk, the same resumable walk the analytic
+// oracles (sim::simulate_transfer and friends) run to termination, so
+// per-session results are bit-equal to the oracle run standalone with the
+// same per-session seeds (tests/test_fleet.cpp pins this). One step_round()
+// = one transmission round (n frames). Fleet telemetry observes the walk
+// through fleet::TelemetryObserver.
 //
 // Weak connectivity: when `config.outage` is set, every session runs on a
-// session_clone() of the prototype outage model (a recycled slot reset()s its
-// clone, which is the same thing), driven on the session's own link timeline
-// (time since the session's start) by a dedicated per-session RNG stream, and
-// the walk's link and retry policies engage (fades, suspend under backoff,
-// degraded termination; see sim/walk.hpp). With `outage == nullptr` the walk
-// is the plain always-up walk.
+// session_clone() of the prototype outage model (the shard reset()s one
+// clone before each session, which is the same thing), driven on the
+// session's own link timeline (time since the session's start) by a
+// dedicated per-session RNG stream, and the walk's link and retry policies
+// engage (fades, suspend under backoff, degraded termination; see
+// sim/walk.hpp). With `outage == nullptr` the walk is the plain always-up
+// walk.
 //
 // Workload shape: `zipf_s > 0` replaces round-robin document assignment with
 // a Zipf(s) popularity draw, and `arrival_rate_hz > 0` replaces the uniform
@@ -43,10 +43,10 @@
 // with per-session bit-parity against sim::simulate_proxied_transfer.
 //
 // Determinism: session i's RNGs (corruption, outage, jitter, document draw)
-// are seeded from (seed, i) only, shard partials are merged in shard order,
-// and event ties break on session index — so a fixed (seed, shards) pair
-// reproduces the aggregate bit-for-bit, and every integer aggregate (plus
-// the cache hit/miss counts) is invariant across shard counts.
+// are seeded from (seed, i) only, a shard books its sessions in index order,
+// and shard partials are merged in shard order — so a fixed (seed, shards)
+// pair reproduces the aggregate bit-for-bit, and every integer aggregate
+// (plus the cache hit/miss counts) is invariant across shard counts.
 #pragma once
 
 #include <cstdint>
@@ -195,11 +195,6 @@ struct FleetResult {
   obs::TimeSeries timeseries;
   std::vector<RetainedTrace> traces;
   std::size_t trace_tail_target = 0;     // k used for the tail selection
-  // Σ over shards of the most sessions each held in flight at once (its slot
-  // table's size): what the engine's live state scales with. Deterministic
-  // for a fixed (seed, shards) pair but not shard-invariant, so it stays out
-  // of timeline_document().
-  std::size_t peak_live_sessions = 0;
 
   [[nodiscard]] double sessions_per_s() const {
     return elapsed_s > 0.0 ? static_cast<double>(sessions) / elapsed_s : 0.0;

@@ -421,7 +421,7 @@ struct Step {
 template <class Receipts>
 struct SessionWalk {
   // Two clocks with the same increments: `clock` is the observer clock (the
-  // fleet's absolute time, for its event heap and telemetry); `link_clock`
+  // fleet's absolute time, for its telemetry and traces); `link_clock`
   // is session-relative and drives link/origin queries, generation stamps
   // and the deadline. Deriving one from the other would pick up start-offset
   // rounding and break oracle parity. The oracles start both at 0.

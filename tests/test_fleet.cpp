@@ -1162,12 +1162,13 @@ TEST(FleetEngine, BoundedCacheKeepsServingInvariantAcrossShardCounts) {
   EXPECT_LE(serial.cache().evictions(), serial.cache().misses());
 }
 
-// ---- Live state: sessions admitted at their start, slots recycled ----
+// ---- Session indices, start times and the shard's reused Session ----
 
 TEST(FleetEngine, RejectsMoreSessionsThanIndexBits) {
-  // Session indices travel as 32 bits (events, outcomes, retained traces);
-  // a larger fleet must be refused up front, not wrap silently. Constructing
-  // is enough: validation runs before anything is sized by `sessions`.
+  // Session indices travel as 32 bits (outcomes, trace candidates, retained
+  // traces); a larger fleet must be refused up front, not wrap silently.
+  // Constructing is enough: validation runs before anything is sized by
+  // `sessions`.
   fleet::FleetConfig cfg = small_config(0);
   cfg.record_outcomes = false;
   cfg.sessions = std::size_t{std::numeric_limits<std::uint32_t>::max()} + 1;
@@ -1177,7 +1178,8 @@ TEST(FleetEngine, RejectsMoreSessionsThanIndexBits) {
 }
 
 TEST(FleetEngine, RejectsANegativeArrivalSpread) {
-  // Sessions are admitted in index order, which needs non-decreasing starts.
+  // A start before t = 0 has no time bucket (TimeSeries::add files it into
+  // bucket 0), so the spread is refused up front.
   fleet::FleetConfig cfg = small_config(8);
   cfg.arrival_spread_s = -10.0;
   EXPECT_THROW(fleet::FleetEngine{cfg}, mw::ContractViolation);
@@ -1187,7 +1189,7 @@ namespace {
 
 // Every session needs at least two rounds: with n = m (gamma 1) the fade over
 // the first second of link time swallows a frame of round 1, so no session
-// ends in the event that admitted it.
+// ends in its first round.
 fleet::FleetConfig two_round_config(std::size_t sessions) {
   fleet::FleetConfig cfg = outage_config(sessions);
   cfg.gammas = {1.0};
@@ -1199,26 +1201,25 @@ fleet::FleetConfig two_round_config(std::size_t sessions) {
 
 }  // namespace
 
-TEST(FleetEngine, LiveStateBoundedByConcurrency) {
+TEST(FleetEngine, SessionResultsIndependentOfArrivalOverlap) {
   const std::size_t sessions = 2000;
   // Staggered arrivals of short sessions: about one start per 10 s against
-  // session times of tens of seconds, so only a handful are ever in flight.
+  // session times of tens of seconds, so only a handful overlap.
   fleet::FleetConfig cfg = two_round_config(sessions);
   cfg.arrival_spread_s = 20000.0;
   fleet::FleetEngine staggered(cfg);
   const fleet::FleetResult a = staggered.run();
-  EXPECT_GT(a.peak_live_sessions, 0u);
-  EXPECT_LT(a.peak_live_sessions * 20, sessions);
 
-  // All at t = 0: every session is in flight at once, so no slot recycles.
+  // All at t = 0: every session is in flight at once on the simulated clock.
   cfg.arrival_spread_s = 0.0;
   fleet::FleetEngine burst(cfg);
   const fleet::FleetResult b = burst.run();
-  EXPECT_EQ(b.peak_live_sessions, sessions);
 
-  // Session results are session-relative, so recycling changes nothing a
-  // session sees: per session, and in every aggregate but the makespan (the
-  // double sums only up to summation order).
+  // Session results are session-relative, so the overlap changes nothing a
+  // session sees: per session, and in every aggregate but the makespan. A
+  // shard books its sessions in index order whatever their starts, so the
+  // double sums add the same terms in the same order here; the tolerance
+  // only keeps these checks free of any booking order.
   ASSERT_EQ(a.outcomes.size(), sessions);
   ASSERT_EQ(b.outcomes.size(), sessions);
   for (std::size_t i = 0; i < sessions; ++i) {
@@ -1257,10 +1258,11 @@ TEST(FleetEngine, LiveStateBoundedByConcurrency) {
 
 namespace {
 
-// A proxied fleet with link fades, origin fades and telemetry whose arrivals
-// are spread so thin that each shard slot serves several sessions in turn;
-// every session must still match the proxied oracle, and every retained
-// trace must hold its own session's whole history and nothing else.
+// A proxied fleet with link fades, origin fades and telemetry, whose
+// sessions each shard walks in turn through one reused Session (outage
+// clones and proxy state reset, not rebuilt); every session must still match
+// the proxied oracle, and every retained trace must hold its own session's
+// whole history and nothing else.
 void expect_recycled_slots_keep_parity(fleet::FleetConfig cfg) {
   cfg.telemetry.emplace();
   cfg.telemetry->trace_top_fraction = 0.05;
@@ -1268,7 +1270,6 @@ void expect_recycled_slots_keep_parity(fleet::FleetConfig cfg) {
   fleet::FleetEngine engine(cfg);
   const fleet::FleetResult r = engine.run();
   ASSERT_EQ(r.outcomes.size(), cfg.sessions);
-  EXPECT_LT(r.peak_live_sessions * 4, cfg.sessions);
   for (const fleet::SessionOutcome& out : r.outcomes) {
     expect_session_matches_proxied_oracle(cfg, engine, out);
   }
@@ -1295,8 +1296,8 @@ TEST(FleetProxy, RecycledSlotsKeepOracleParity) {
   cfg.arrival_spread_s = 30000.0;
   expect_recycled_slots_keep_parity(cfg);
 
-  // A FaultSchedule link: its clone copies the window list, now once per
-  // slot instead of once per session.
+  // A FaultSchedule link: its clone copies the window list, once per shard
+  // instead of once per session.
   cfg.outage = std::make_shared<mw::channel::FaultSchedule>(
       std::vector<mw::channel::FaultSchedule::Window>{{2.0, 4.0}, {9.0, 30.0}});
   expect_recycled_slots_keep_parity(cfg);

@@ -1,7 +1,8 @@
 // Fleet telemetry: TimeSeries bucketing/clamping/merge algebra, tail-based
 // trace retention (exact top-k plus every failure, bounded, deterministic
 // under ties), shard-count bit-invariance of the whole exported timeline
-// document, the FlightRecorder postmortem wiring for degraded / gave-up
+// document and a byte-level golden of it for fleets whose sessions overlap,
+// the FlightRecorder postmortem wiring for degraded / gave-up
 // sessions, and replayed traces that hold each session's whole history and
 // agree with the oracle's trace of the same session (per-round frame tallies
 // included).
@@ -21,6 +22,7 @@
 #include "obs/flight.hpp"
 #include "obs/timeseries.hpp"
 #include "sim/proxied.hpp"
+#include "util/crc.hpp"
 
 namespace mw = mobiweb;
 namespace fleet = mobiweb::fleet;
@@ -159,6 +161,60 @@ TEST(FleetTelemetry, TimelineDocumentBitIdenticalAcrossShardCounts) {
     EXPECT_EQ(doc1, fleet::timeline_document(rs, cfg))
         << "timeline diverged at " << shards << " shards";
   }
+}
+
+namespace {
+
+// The timeline document's byte length and CRC-32: a compact fingerprint of
+// every series cell, derived value, SLO verdict and retained trace.
+std::pair<std::size_t, std::uint32_t> timeline_fingerprint(
+    const fleet::FleetConfig& cfg) {
+  fleet::FleetEngine engine(cfg);
+  const std::string doc = fleet::timeline_document(engine.run(), cfg);
+  return {doc.size(),
+          mw::crc32(mw::ByteSpan(
+              reinterpret_cast<const std::uint8_t*>(doc.data()), doc.size()))};
+}
+
+}  // namespace
+
+TEST(FleetTelemetry, TimelineDocumentGoldenForOverlappingSessions) {
+  // Fleet-level golden: the whole timeline document of two fleets in which
+  // many sessions of one shard are in flight at once. The constants were
+  // taken from the engine that interleaved a shard's sessions round by round
+  // on a (time, session) event heap (commit 5cfc3b1); running each session
+  // to its end must reproduce every byte.
+  //
+  // Failure-heavy weak fleet: every session starts at t = 0 under Markov
+  // fades with no redundancy and most frames corrupted, so all 2000 end
+  // degraded and every one is replayed into the document.
+  fleet::FleetConfig weak = lossy_config(2000);
+  weak.arrival_spread_s = 0.0;
+  weak.gammas = {1.0};
+  weak.alpha = 0.85;
+  weak.shards = 4;
+  EXPECT_EQ(timeline_fingerprint(weak),
+            (std::pair<std::size_t, std::uint32_t>{4077383u, 0x4bc7235eu}));
+
+  // Proxied fleet: origin fades, stale failovers and handoffs on top of the
+  // link fades, with Poisson arrivals packed far tighter than session times.
+  // A wide tail keeps completed sessions among the retained traces too.
+  fleet::FleetConfig proxied = lossy_config(600);
+  proxied.alpha = 0.45;
+  proxied.max_rounds = 10;
+  proxied.arrival_rate_hz = 20.0;
+  proxied.proxy.emplace();
+  proxied.proxy->model.warm_hit = 0.6;
+  proxied.proxy->model.replica_age_mean_s = 40.0;
+  proxied.proxy->model.handoff_rate = 0.35;
+  proxied.proxy->model.update_interval_s = 15.0;
+  proxied.proxy->origin_outage =
+      std::make_shared<mw::channel::MarkovOutageModel>(
+          mw::channel::MarkovOutageModel::with_duty_cycle(0.4, 6.0));
+  proxied.telemetry->trace_top_fraction = 0.2;
+  proxied.shards = 3;
+  EXPECT_EQ(timeline_fingerprint(proxied),
+            (std::pair<std::size_t, std::uint32_t>{246065u, 0x8a9964eeu}));
 }
 
 TEST(FleetTelemetry, TimeSeriesTotalsMatchFleetAggregates) {
